@@ -282,7 +282,8 @@ def run_susy(params, seed, output_dir):
     psi = susy.GridWavefunction.from_callable(
         lambda x: f(x, params["alpha"]), window, params["n"])
     pair = susy.superpotential_from_groundstate(psi, E_m=params["E_m"])
-    hm, hp = susy.build_partner_hamiltonians(pair)
+    levels = {name: h.eigenvalues(params["k"])
+              for name, h in zip(("minus", "plus"), susy.build_partner_hamiltonians(pair))}
     resid = susy.verify_intertwining(pair)
     case = susy.classify_case(pair)
 
@@ -297,9 +298,7 @@ def run_susy(params, seed, output_dir):
               [(x, w.real, w.imag, vm.real, vm.imag, vp.real, vp.imag)
                for x, w, vm, vp in zip(pair.x, pair.W, pair.V_minus, pair.V_plus)])
     arts.append(p2)
-    k = params["k"]
-    for name, h in (("minus", hm), ("plus", hp)):
-        ev = h.eigenvalues()[:k]
+    for name, ev in levels.items():
         path = os.path.join(output_dir, f"spectrum_{name}.json")
         write_json(path, [{"re": e.real, "im": e.imag} for e in ev])
         arts.append(path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularConfigError
-from .rootsys import CartanWeylBasis, RootSystem, build_root_system
+from .rootsys import CartanWeylBasis, RootSystem
 
 SINGULAR_GUARD = 1e-6
 
@@ -419,9 +419,3 @@ def basu_mallick_kundu_form(ell, omega, g, gtilde, q, p):
     h = h + 1j * gtilde * ((p[:, None] / np.where(off, dq, np.inf))[off]).sum()
     return complex(h)
 
-
-def make_system(family, rank, potential, couplings, q, p):
-    """Convenience constructor from plain parameters."""
-    rs = build_root_system(family, rank)
-    kind = potential if isinstance(potential, PotentialKind) else PotentialKind(str(potential).lower())
-    return CMSSystem(root_system=rs, potential=kind, couplings=couplings, q=q, p=p)

@@ -1,14 +1,21 @@
 """Finite-difference operators on uniform 1D grids.
 
-Shared by the partner-potential and spectral engines.  All matrices use
-Dirichlet boundaries realized by zero extension (stencil rows near the
-edge simply drop out-of-range points).
+Shared by the partner-potential and spectral engines.  A grid
+Hamiltonian -d^2/dx^2 + V is held only as its lower bands, a (w+1, n)
+array with bands[d, j] = H[j + d, j]; the operator is complex-symmetric
+even for complex V.  Dirichlet boundaries are realized by zero extension
+(stencil rows near the edge drop out-of-range points).  Eigenpairs come
+from shift-invert Arnoldi (ARPACK) with a fixed start vector, so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from .errors import ConfigurationError
 
 # central stencils, (offset: coefficient); divide by dx**order
 _C1_ACC2 = {-1: -0.5, 1: 0.5}
@@ -33,14 +40,6 @@ def _stencil(order, acc):
     raise ValueError(f"unsupported (order, acc) = ({order}, {acc})")
 
 
-def diff_matrix(n, dx, order, acc=4, dense=True):
-    """n x n differentiation matrix with zero (Dirichlet) extension."""
-    st = _stencil(order, acc)
-    m = sp.diags([np.full(n - abs(k), c) for k, c in st.items()],
-                 list(st.keys()), shape=(n, n), format="csr") / dx**order
-    return m.toarray() if dense else m
-
-
 def derivative(values, dx, order, acc=4):
     """Differentiate grid samples; one-sided stencils at the edges."""
     values = np.asarray(values)
@@ -49,10 +48,7 @@ def derivative(values, dx, order, acc=4):
     width = max(abs(k) for k in st)
     out = np.zeros(n, dtype=complex)
     for k, c in st.items():
-        if k >= 0:
-            out[width:n - width] += c * values[width + k:n - width + k]
-        else:
-            out[width:n - width] += c * values[width + k:n - width + k]
+        out[width:n - width] += c * values[width + k:n - width + k]
     fwd = _F1_ACC4 if order == 1 else _F2_ACC4
     sign = -1.0 if order == 1 else 1.0
     for i in range(width):
@@ -61,12 +57,41 @@ def derivative(values, dx, order, acc=4):
     return out / dx**order
 
 
-def schrodinger_matrix(V, dx, acc=2):
-    """Dense matrix of -d^2/dx^2 + V on the grid, Dirichlet boundaries."""
+def schrodinger_bands(V, dx, acc=2):
+    """Lower bands of -d^2/dx^2 + V (real when V is), Dirichlet boundaries."""
     V = np.asarray(V)
+    if np.iscomplexobj(V) and np.abs(V.imag).max() == 0.0:
+        V = V.real
     n = V.size
-    lap = diff_matrix(n, dx, order=2, acc=acc)
-    H = -lap + np.diag(V.astype(complex))
-    if np.isrealobj(V) or np.abs(V.imag).max() == 0.0:
-        return H.real
-    return H
+    st = _stencil(2, acc)
+    bands = np.zeros((max(st) + 1, n), dtype=np.result_type(V, float))
+    bands[0] = V - st[0] / dx**2
+    for d in range(1, max(st) + 1):
+        bands[d, :n - d] = -st[d] / dx**2
+    return bands
+
+
+def band_matvec(bands, u):
+    """Product of the symmetric banded operator with the vector u."""
+    n = u.size
+    out = bands[0] * u
+    for d in range(1, bands.shape[0]):
+        out[d:] += bands[d, :n - d] * u[:n - d]
+        out[:n - d] += bands[d, :n - d] * u[d:]
+    return out
+
+
+def eigenpairs_near(bands, k, sigma, vectors=False):
+    """The k eigenvalues nearest sigma (unordered), and with `vectors` the
+    eigenvectors as columns: shift-invert Arnoldi on the sparse LU of
+    H - sigma.  ARPACK needs 1 <= k < n - 1."""
+    w, n = bands.shape[0] - 1, bands.shape[1]
+    if not 1 <= k < n - 1:
+        raise ConfigurationError(f"k must satisfy 1 <= k < n - 1 = {n - 1}, got {k}")
+    offsets = list(range(-w, w + 1))
+    H = sp.diags_array([bands[abs(d), :n - abs(d)] for d in offsets],
+                       offsets=offsets, shape=(n, n), format="csc")
+    # no parity: an even start vector reaches the odd levels of a
+    # symmetric potential only through roundoff
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return spla.eigs(H, k=k, sigma=sigma, v0=v0, return_eigenvectors=vectors)

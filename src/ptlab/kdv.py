@@ -76,11 +76,10 @@ def _ipow(base, p, where):
     """Principal-branch power of (i u_x)-type bases with cut detection."""
     if float(p) == int(p):
         return base ** int(p)
-    if np.any(base.real < 0) and np.any(np.abs(base.imag) < 1e-13 * (1 + np.abs(base.real))):
-        neg = (base.real < 0) & (np.abs(base.imag) < 1e-13 * (1 + np.abs(base.real)))
-        if np.any(neg):
-            raise BranchError("fractional power base touched the negative real axis",
-                              where=where)
+    neg = (base.real < 0) & (np.abs(base.imag) < 1e-13 * (1 + np.abs(base.real)))
+    if np.any(neg):
+        raise BranchError("fractional power base touched the negative real axis",
+                          where=where)
     return base ** p
 
 
@@ -322,19 +321,6 @@ class TravelingWaveReport:
     exists: bool
     reason: str
     profile: KdVField | None = None
-    defect: float | None = None
-
-
-def _decay_quadrature_rhs(phi, eps, c, sign=+1.0):
-    """phi' from the decaying-solution first integral.
-
-    With both integration constants fixed by decay at infinity,
-    (i phi')^(eps+1) = ((eps+1)/eps) (phi^3/6 - c phi^2/2); the returned
-    branch makes phi' real for the ordinary soliton at eps = 1.
-    """
-    rhs = (eps + 1.0) / eps * (phi ** 3 / 6.0 - c * phi ** 2 / 2.0)
-    val = np.asarray(rhs, dtype=complex) ** (1.0 / (eps + 1.0))
-    return sign * val / 1j
 
 
 def traveling_wave(eps, c, L=40.0, n=512):

@@ -92,7 +92,7 @@ def _positive_roots(family, rank):
                 v[i], v[j] = 1.0, -1.0
                 pos.append(v)
         return pos
-    if family == "B":
+    if family in ("B", "C", "D"):
         pos = []
         for i in range(ell):
             for j in range(i + 1, ell):
@@ -100,32 +100,9 @@ def _positive_roots(family, rank):
                     v = np.zeros(ell)
                     v[i], v[j] = 1.0, sj
                     pos.append(v)
-        for i in range(ell):
-            v = np.zeros(ell)
-            v[i] = 1.0
-            pos.append(v)
-        return pos
-    if family == "C":
-        pos = []
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                for sj in (+1.0, -1.0):
-                    v = np.zeros(ell)
-                    v[i], v[j] = 1.0, sj
-                    pos.append(v)
-        for i in range(ell):
-            v = np.zeros(ell)
-            v[i] = 2.0
-            pos.append(v)
-        return pos
-    if family == "D":
-        pos = []
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                for sj in (+1.0, -1.0):
-                    v = np.zeros(ell)
-                    v[i], v[j] = 1.0, sj
-                    pos.append(v)
+        if family != "D":
+            # B adds the short roots e_i, C the long roots 2 e_i
+            pos.extend((1.0 if family == "B" else 2.0) * np.eye(ell))
         return pos
     if family == "G2":
         # short roots: A_2 roots e_i - e_j; long roots: 2e_i - e_j - e_k,

@@ -17,7 +17,7 @@ import scipy.linalg as sla
 import scipy.optimize as sopt
 
 from .errors import ConfigurationError
-from .gridops import schrodinger_matrix
+from .gridops import eigenpairs_near, schrodinger_bands
 
 
 # ---------------------------------------------------------------------------
@@ -110,29 +110,16 @@ class MonomialModel:
         return -self.g * (1j * z) ** self.N
 
 
-def _grid_eigs(model: MonomialModel, n):
+def _grid_eigs(model: MonomialModel, n, k):
     # unknowns at interior points; walls sit exactly at +-half_width.
     # The second ghost ring of the 5-point stencil is closed by odd
     # reflection about the wall (exact there since psi'' = (V-E) psi = 0),
     # which keeps full 4th-order accuracy for states that reach the wall.
     z = np.linspace(-model.half_width, model.half_width, n + 2)[1:-1]
     dz = z[1] - z[0]
-    V = model.potential(z)
-    corner = (1 / 12) / dz**2
-    if np.abs(V.imag).max() == 0.0:
-        # real symmetric pentadiagonal operator: banded solver, O(n^2)
-        bands = np.zeros((3, n))
-        bands[0] = V.real + (5 / 2) / dz**2
-        bands[1, :-1] = (-4 / 3) / dz**2
-        bands[2, :-2] = (1 / 12) / dz**2
-        bands[0, 0] -= corner
-        bands[0, -1] -= corner
-        ev = sla.eig_banded(bands, lower=True, eigvals_only=True).astype(complex)
-    else:
-        H = schrodinger_matrix(V, dz, acc=4)
-        H[0, 0] -= corner
-        H[-1, -1] -= corner
-        ev = sla.eigvals(H)
+    bands = schrodinger_bands(model.potential(z), dz, acc=4)
+    bands[0, [0, -1]] -= (1 / 12) / dz**2
+    ev = eigenpairs_near(bands, k, 0.0)
     return ev[np.argsort(np.abs(ev))]
 
 
@@ -143,12 +130,13 @@ def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
     the spacing; the h^4 error of the 5-point stencil is removed by
     Richardson extrapolation and the raw grid-to-grid change is reported
     as a convergence diagnostic (entries changing by more than 1e-4 are
-    flagged as non-converged).
+    flagged as non-converged).  Needs 1 <= k <= 20 and k < n_grid - 1;
+    other k raise ConfigurationError.
     """
     if k > 20:
         raise ConfigurationError("at most 20 eigenvalues are reported")
-    e1 = _grid_eigs(model, model.n_grid)[:k]
-    e2 = _grid_eigs(model, 2 * model.n_grid - 1)[:k]
+    e1 = _grid_eigs(model, model.n_grid, k)
+    e2 = _grid_eigs(model, 2 * model.n_grid - 1, k)
     extrap = (16.0 * e2 - e1) / 15.0
     change = np.abs(e2 - e1)
     flagged = [int(i) for i in np.nonzero(change > 1e-4)[0]]

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NodeError
-from .gridops import derivative, diff_matrix, schrodinger_matrix
+from .gridops import band_matvec, derivative, eigenpairs_near, schrodinger_bands
 
 NODE_REL_TOL = 1e-12
 
@@ -74,10 +73,6 @@ class SuperPartnerPair:
         return self.W.imag
 
     @property
-    def eps_m(self):
-        return float(np.real(self.E_m))
-
-    @property
     def eps_hat_m(self):
         return float(np.imag(self.E_m))
 
@@ -111,30 +106,27 @@ def superpotential_from_groundstate(psi: GridWavefunction, E_m=0.0):
                             V_minus=V_minus, V_plus=V_plus, E_m=complex(E_m))
 
 
-class Boundary(enum.Enum):
-    DIRICHLET = "dirichlet"
-
-
 @dataclass(frozen=True)
 class DiscretizedHamiltonian:
-    matrix: np.ndarray
+    """-d^2/dx^2 + V in the symmetric band storage of `gridops`."""
+    bands: np.ndarray
     dx: float
-    boundary: Boundary = Boundary.DIRICHLET
-    accuracy: int = 2
 
-    def eigenvalues(self):
-        """All eigenvalues sorted by real part."""
-        m = self.matrix
-        if np.isrealobj(m) and np.allclose(m, m.T, atol=0.0):
-            ev = sla.eigh(m, eigvals_only=True).astype(complex)
-        else:
-            ev = sla.eigvals(m)
-        return ev[np.argsort(ev.real)]
+    def eigensystem(self, k=20):
+        """The k lowest eigenpairs by real part (vectors as columns).
 
-    def eigensystem(self):
-        ev, vec = sla.eig(self.matrix)
+        The shift is min Re V, the interior row sum (the stencil
+        annihilates constants); -Lap is positive definite, so the shift
+        lies left of the whole spectrum.
+        """
+        shift = (self.bands[0].real + 2.0 * self.bands[1:, 0].real.sum()).min()
+        ev, vec = eigenpairs_near(self.bands, k, shift, vectors=True)
         order = np.argsort(ev.real)
         return ev[order], vec[:, order]
+
+    def eigenvalues(self, k=20):
+        """The k lowest eigenvalues, sorted by real part."""
+        return self.eigensystem(k)[0]
 
 
 def build_partner_hamiltonians(pair: SuperPartnerPair, E_m=None, acc=2):
@@ -146,19 +138,9 @@ def build_partner_hamiltonians(pair: SuperPartnerPair, E_m=None, acc=2):
     if E_m is None:
         E_m = pair.E_m
     E_m = complex(E_m)
-    hm = schrodinger_matrix(pair.V_minus + E_m, pair.dx, acc=acc)
-    hp = schrodinger_matrix(pair.V_plus + E_m, pair.dx, acc=acc)
-    return (DiscretizedHamiltonian(hm, pair.dx, accuracy=acc),
-            DiscretizedHamiltonian(hp, pair.dx, accuracy=acc))
-
-
-def charge_matrix(pair: SuperPartnerPair, conjugate=False, acc=4):
-    """Q = d/dx + W (or Qtilde = -d/dx + W) as a dense grid operator."""
-    n = pair.W.size
-    d1 = diff_matrix(n, pair.dx, order=1, acc=acc)
-    if conjugate:
-        d1 = -d1
-    return d1.astype(complex) + np.diag(pair.W)
+    return tuple(DiscretizedHamiltonian(schrodinger_bands(V + E_m, pair.dx, acc=acc),
+                                        pair.dx)
+                 for V in (pair.V_minus, pair.V_plus))
 
 
 def _probe_states(x):
@@ -182,29 +164,28 @@ def verify_intertwining(pair: SuperPartnerPair, H_minus=None, H_plus=None,
     states (raw matrix norms are dominated by grid-scale frequencies the
     stencils do not resolve) and normalized by the action of H_- on the
     probe, so the value is grid-independent up to discretization error.
-    Boundary rows, where truncated stencils break the algebra, are
-    excluded.  With 4th-order operators the residual converges at 4th
-    order under grid refinement.
+    Q and H act on the probes directly (`derivative`, `band_matvec`).
+    Boundary rows, where truncated or one-sided stencils break the
+    algebra, are excluded.  With 4th-order operators the residual
+    converges at 4th order under grid refinement.
     """
     if H_minus is None or H_plus is None:
         H_minus, H_plus = build_partner_hamiltonians(pair, acc=acc)
-    Q = charge_matrix(pair, conjugate=conjugate, acc=acc)
-    hm = np.asarray(H_minus.matrix, dtype=complex)
-    hp = np.asarray(H_plus.matrix, dtype=complex)
-    if conjugate:
-        R = Q @ hp - hm @ Q
-    else:
-        R = Q @ hm - hp @ Q
-    n = R.shape[0]
+    sign, first, second = ((-1.0, H_plus, H_minus) if conjugate
+                           else (1.0, H_minus, H_plus))
+
+    def charge(u):
+        return sign * derivative(u, pair.dx, order=1, acc=acc) + pair.W * u
+
+    n = pair.W.size
     if margin is None:
         margin = 3 * max(2, acc)
     sl = slice(margin, n - margin)
-    dx = pair.dx
     worst = 0.0
     for u in _probe_states(pair.x):
-        num = np.linalg.norm((R @ u)[sl]) * np.sqrt(dx)
-        den = np.linalg.norm((hm @ u)[sl]) * np.sqrt(dx) + np.linalg.norm(u[sl]) * np.sqrt(dx)
-        worst = max(worst, num / den)
+        r = charge(band_matvec(first.bands, u)) - band_matvec(second.bands, charge(u))
+        den = np.linalg.norm(band_matvec(H_minus.bands, u)[sl]) + np.linalg.norm(u[sl])
+        worst = max(worst, np.linalg.norm(r[sl]) / den)
     return float(worst)
 
 

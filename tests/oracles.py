@@ -3,8 +3,10 @@
 Each oracle computes a reference value by a method unrelated to the
 implementation under test: ODE shooting for the cubic-potential ground
 state, a symplectic 2x2 eigenproblem for the bilinear Fock model, exact
-ladder-operator algebra over symbolic integers for matrix elements, and
-symbolic variational calculus for the deformed KdV right-hand side.
+ladder-operator algebra over symbolic integers for matrix elements,
+symbolic variational calculus for the deformed KdV right-hand side, and
+dense finite-difference matrices (solved by LAPACK in the tests) for the
+banded grid operators.
 """
 
 from __future__ import annotations
@@ -166,3 +168,51 @@ def rational_calogero_lax_reference(q, g):
             if j != k:
                 L[j, k] = 1j * g / (q[j] - q[k])
     return L
+
+
+# ---------------------------------------------------------------------------
+# dense finite-difference operators
+# ---------------------------------------------------------------------------
+
+# textbook central stencils, lowest offset first
+_SECOND = {2: (1.0, -2.0, 1.0), 4: (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)}
+_FIRST4 = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
+
+
+def _dense_stencil(coeffs, n):
+    """Toeplitz n x n stencil matrix with zero (Dirichlet) extension."""
+    w = len(coeffs) // 2
+    return sum(c * np.eye(n, k=j - w) for j, c in enumerate(coeffs))
+
+
+def dense_schrodinger(V, dx, acc):
+    """Dense -d^2/dx^2 + V with Dirichlet boundaries."""
+    V = np.asarray(V, dtype=complex)
+    return -_dense_stencil(_SECOND[acc], V.size) / dx**2 + np.diag(V)
+
+
+def dense_intertwining_residual(pair, probes, conjugate=False):
+    """Interior residual of Q H_- - H_+ Q from dense 4th-order matrices.
+
+    Q = +-d/dx + W and H_(-+) are formed as dense matrices and the defect
+    matrix R is applied to each probe state u, normalized by
+    |H_- u| + |u| on the rows at least 12 from the edges.  Returns
+    (residual, scale): `scale` is the same quotient with |Q| |H| |u| in
+    place of R u, the size of the products that cancel in R, so both
+    evaluations round at about eps * scale.
+    """
+    n = pair.W.size
+    d1 = _dense_stencil(_FIRST4, n) / pair.dx
+    Q = (-d1 if conjugate else d1) + np.diag(pair.W)
+    hm = dense_schrodinger(pair.V_minus + pair.E_m, pair.dx, 4)
+    hp = dense_schrodinger(pair.V_plus + pair.E_m, pair.dx, 4)
+    first, second = (hp, hm) if conjugate else (hm, hp)
+    R = Q @ first - second @ Q
+    bound = np.abs(Q) @ np.abs(first) + np.abs(second) @ np.abs(Q)
+    sl = slice(12, n - 12)
+    resid = scale = 0.0
+    for u in probes:
+        den = np.linalg.norm((hm @ u)[sl]) + np.linalg.norm(u[sl])
+        resid = max(resid, np.linalg.norm((R @ u)[sl]) / den)
+        scale = max(scale, np.linalg.norm((bound @ np.abs(u))[sl]) / den)
+    return resid, scale

@@ -161,15 +161,31 @@ def test_exit_code_engine_error(tmp_path, capsys):
     assert "CapabilityError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "10"],
+    ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "100", "--k", "0"],
+    ["susy", "--n", "16", "--k", "20"],
+])
+def test_exit_code_bad_level_count(tmp_path, capsys, argv):
+    # k must satisfy 1 <= k < n - 1 on every grid engine
+    assert run_main(tmp_path, *argv) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        code = cli.main(["cms", "--family", "A", "--rank", "2",
-                         "--check", "mu-identity", "--samples", "4",
-                         "--seed", "11", "--output-dir", str(out)])
-        assert code == cli.EXIT_OK
-    for name in ("mu-identity.csv", "manifest.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    # the grid runs go through ARPACK, whose start vector must be fixed
+    runs = [["cms", "--family", "A", "--rank", "2", "--check", "mu-identity",
+             "--samples", "4", "--seed", "11"],
+            ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200"],
+            ["susy", "--profile", "gaussian-complex", "--n", "300"]]
+    for i, argv in enumerate(runs):
+        a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        for out in (a, b):
+            assert cli.main(argv + ["--output-dir", str(out)]) == cli.EXIT_OK
+        names = sorted(os.listdir(a))
+        assert "manifest.json" in names and names == sorted(os.listdir(b))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +218,15 @@ def test_sweep_partial_failure(tmp_path):
     statuses = {c["dir"]: c["status"] for c in index["cells"]}
     assert statuses["family=A"] == "ok"
     assert statuses["family=G2"] == "error"
+
+
+def test_sweep_marks_bad_level_count(tmp_path):
+    cfg = write(tmp_path, "sweep.cfg", "subcommand=susy\nn=16,200\nk=20\n")
+    code, index = cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"))
+    assert code == cli.EXIT_PARTIAL
+    cells = {c["dir"]: c for c in index["cells"]}
+    assert cells["n=200"]["status"] == "ok"
+    assert cells["n=16"]["error"].startswith("ConfigurationError")
 
 
 def test_sweep_rejects_too_many_grids(tmp_path):

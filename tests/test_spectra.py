@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (bilinear_levels, cubic_ground_energy,
-                     cubic_interaction_element)
+                     cubic_interaction_element, dense_schrodinger)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
 
@@ -114,8 +115,27 @@ def test_monomial_diagnostics_shape():
     rep = spectra.monomial_spectrum(model, k=5)
     assert len(rep.diagnostics["grid_change"]) == 5
     assert rep.diagnostics["n_grid"] == [300, 599]
+    for bad in (0, 25):
+        with pytest.raises(ConfigurationError):
+            spectra.monomial_spectrum(model, k=bad)
     with pytest.raises(ConfigurationError):
-        spectra.monomial_spectrum(model, k=25)
+        spectra.monomial_spectrum(spectra.MonomialModel(N=2, n_grid=8), k=7)
+
+
+# the cubic operator is far from normal: from its sixth level on, the
+# dense solver's own error (visible as |Im E|) passes 1e-9 on this grid
+@pytest.mark.parametrize("N, half_width, k", [(2, 10.0, 10), (3, 6.5, 5), (4, 3.0, 10)])
+def test_banded_levels_match_dense_matrix(N, half_width, k):
+    n = 300
+    model = spectra.MonomialModel(N=N, g=1.0, half_width=half_width, n_grid=n)
+    z = np.linspace(-half_width, half_width, n + 2)[1:-1]
+    dz = z[1] - z[0]
+    H = dense_schrodinger(model.potential(z), dz, acc=4)
+    H[0, 0] -= (1 / 12) / dz**2
+    H[-1, -1] -= (1 / 12) / dz**2
+    ref = sla.eigvals(H)
+    ref = ref[np.argsort(np.abs(ref))][:k]
+    assert np.abs(spectra._grid_eigs(model, n, k) - ref).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_intertwining_residual, dense_schrodinger
 from ptlab import susy
-from ptlab.errors import NodeError
+from ptlab.errors import ConfigurationError, NodeError
 
 
 def gaussian_pair(n=1600, window=(-8.0, 8.0), E_m=0.0):
@@ -97,6 +99,50 @@ def test_intertwining_residual_and_order():
 def test_conjugate_intertwining():
     pair = gaussian_pair(n=3200)
     assert susy.verify_intertwining(pair, conjugate=True) < 1e-6
+
+
+PROFILES = {
+    "gaussian": lambda x: np.exp(-x**2 / 2.0),
+    "gaussian-complex": lambda x: np.exp(-x**2 / 2.0 + 0.5j * x),
+    "sech": lambda x: 1.0 / np.cosh(x),
+}
+
+
+def profile_pair(profile, n=400):
+    return susy.superpotential_from_groundstate(
+        susy.GridWavefunction.from_callable(PROFILES[profile], (-8, 8), n))
+
+
+@pytest.mark.parametrize("acc", [2, 4])
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_banded_levels_match_dense_matrix(profile, acc):
+    pair = profile_pair(profile)
+    hams = susy.build_partner_hamiltonians(pair, acc=acc)
+    for h, V in zip(hams, (pair.V_minus, pair.V_plus)):
+        ref = sla.eigvals(dense_schrodinger(V, pair.dx, acc))
+        ref = ref[np.argsort(ref.real)][:10]
+        assert np.abs(h.eigenvalues(k=10) - ref).max() < 1e-9
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_intertwining_matches_dense_products(profile, conjugate):
+    pair = profile_pair(profile)
+    ref, scale = dense_intertwining_residual(pair, susy._probe_states(pair.x),
+                                             conjugate=conjugate)
+    got = susy.verify_intertwining(pair, conjugate=conjugate)
+    # Q H and H Q hold terms of size `scale` that cancel down to the
+    # residual, so each evaluation is exact only to about eps * scale
+    assert abs(got - ref) <= 1e-16 * scale
+
+
+def test_level_count_refused():
+    hm, _ = susy.build_partner_hamiltonians(gaussian_pair(n=100))
+    for bad in (0, 99):
+        with pytest.raises(ConfigurationError):
+            hm.eigenvalues(k=bad)
+        with pytest.raises(ConfigurationError):
+            hm.eigensystem(k=bad)
 
 
 def test_charge_maps_first_excited_to_partner_ground():
