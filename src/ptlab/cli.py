@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import cms, kdv, rootsys, spectra, susy
-from .errors import ConfigurationError, PTLabError
+from .errors import BlowUpError, BranchError, ConfigurationError, PTLabError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -409,8 +409,19 @@ def run_kdv(params, seed, output_dir):
         L = params["L_domain"]
         field = kdv.KdVField.from_callable(
             lambda x: params["amplitude"] * np.cos(2 * np.pi * x / L), L, params["n"])
-    ev = kdv.evolve(field, params["model"], eps, params["t_end"], params["dt"],
-                    n_snapshots=params["snapshots"])
+    try:
+        ev = kdv.evolve(field, params["model"], eps, params["t_end"], params["dt"],
+                        n_snapshots=params["snapshots"])
+    except (BranchError, BlowUpError) as exc:
+        # keep what was reached; the run still fails (exit code 3)
+        _write_evolution(exc.partial, output_dir)
+        raise
+    arts = _write_evolution(ev, output_dir)
+    return arts, {"drift": {k: v for k, v in ev.monitor.drift().items()}}
+
+
+def _write_evolution(ev, output_dir):
+    """Snapshot CSVs and charges.csv of a KdV evolution; returns their paths."""
     arts = []
     for j, (t, snap) in enumerate(zip(ev.times, ev.snapshots)):
         path = os.path.join(output_dir, f"snapshot_{j:03d}.csv")
@@ -423,7 +434,7 @@ def run_kdv(params, seed, output_dir):
               [(t, m.real, p.real, e.real, e.imag)
                for t, m, p, e in zip(mon.times, mon.M, mon.P, mon.E)])
     arts.append(cpath)
-    return arts, {"drift": {k: v for k, v in mon.drift().items()}}
+    return arts
 
 
 RUNNERS = {"spectra": run_spectra, "susy": run_susy, "cms": run_cms,

@@ -26,11 +26,16 @@ class NodeError(PTLabError):
 
 
 class BranchError(PTLabError):
-    """Fractional power argument crossed the principal-branch cut."""
+    """Fractional power argument crossed the principal-branch cut.
+
+    `partial` holds the evolution reached before the error, when the
+    raiser has one.
+    """
 
     def __init__(self, message, where=None):
         super().__init__(message)
         self.where = where
+        self.partial = None
 
 
 class SingularExponentError(PTLabError):
@@ -38,8 +43,10 @@ class SingularExponentError(PTLabError):
 
 
 class BlowUpError(PTLabError):
-    """Time evolution produced NaN/overflow; carries the last valid time."""
+    """Time evolution produced NaN/overflow; carries the last valid time
+    and, as `partial`, the evolution reached up to it."""
 
     def __init__(self, message, t_last=None):
         super().__init__(message)
         self.t_last = t_last
+        self.partial = None

@@ -12,15 +12,21 @@ dispersion from the deformed Hamiltonian density, giving
           - eps (i u_x)^(eps - 1) u_xxx.
 
 Both reduce to ordinary KdV at eps = 1.  Spatial derivatives are
-spectral (FFT); time stepping is RK4 with an integrating factor for the
-stiff linear dispersion.  Fractional powers of (i u_x) use the principal
-branch, and evolution aborts with BranchError when the base crosses the
-cut for non-integer eps.
+spectral: u, u_x, u_xx and u_xxx come together from one batched inverse
+FFT of (ik)^m u_hat, m = 0..3, and each flow's right-hand side is a
+pointwise formula in those four arrays.  Time stepping is RK4, with a
+global integrating factor for the stiff linear dispersion where the flow
+has it; every RK4 stage costs one batched inverse and one forward FFT.
+Fractional powers of (i u_x) use the principal branch, and evolution
+aborts with BranchError when the base crosses the cut for non-integer
+eps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +34,7 @@ import numpy as np
 from .errors import BlowUpError, BranchError, ConfigurationError
 
 _BLOWUP_FACTOR = 1e6
+_ORDERS = np.arange(4)[:, None]    # derivative orders of one batched transform
 
 
 class Flow(enum.Enum):
@@ -52,13 +59,18 @@ class KdVField:
     def n(self):
         return self.values.size
 
-    @property
+    @functools.cached_property
     def x(self):
         return np.linspace(0.0, self.L, self.n, endpoint=False)
 
-    @property
+    @functools.cached_property
     def k(self):
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.L / self.n)
+
+    @functools.cached_property
+    def _ik_powers(self):
+        """(ik)^m for m = 0..3, one row per derivative order."""
+        return (1j * self.k) ** _ORDERS
 
     def deriv(self, order=1):
         return np.fft.ifft((1j * self.k) ** order * np.fft.fft(self.values))
@@ -83,22 +95,37 @@ def _ipow(base, p, where):
     return base ** p
 
 
-def rhs_bender(field: KdVField, eps):
-    ux = field.deriv(1)
-    uxxx = field.deriv(3)
-    return 1j * field.values * _ipow(1j * ux, eps, "bender nonlinearity") - uxxx
+def _derivatives(u_hat, ik_powers):
+    """Rows u, u_x, u_xx, u_xxx from one batched inverse transform."""
+    return np.fft.ifft(ik_powers * u_hat)
 
 
-def rhs_fring(field: KdVField, eps):
-    u = field.values
-    ux = field.deriv(1)
-    uxx = field.deriv(2)
-    uxxx = field.deriv(3)
+def _bender_terms(d, eps):
+    u, ux, _, uxxx = d
+    return 1j * u * _ipow(1j * ux, eps, "bender nonlinearity") - uxxx
+
+
+def _fring_terms(d, eps):
+    u, ux, uxx, uxxx = d
     base = 1j * ux
     t1 = -u * ux
     t2 = -1j * eps * (eps - 1.0) * _ipow(base, eps - 2.0, "fring curvature term") * uxx**2
     t3 = -eps * _ipow(base, eps - 1.0, "fring dispersion term") * uxxx
     return t1 + t2 + t3
+
+
+# pointwise right-hand sides on the rows of `_derivatives`
+_TERMS = {Flow.BENDER: _bender_terms, Flow.FRING: _fring_terms}
+
+
+def rhs_bender(field: KdVField, eps):
+    d = _derivatives(np.fft.fft(field.values), field._ik_powers)
+    return _bender_terms(d, eps)
+
+
+def rhs_fring(field: KdVField, eps):
+    d = _derivatives(np.fft.fft(field.values), field._ik_powers)
+    return _fring_terms(d, eps)
 
 
 _RHS = {Flow.BENDER: rhs_bender, Flow.FRING: rhs_fring}
@@ -151,10 +178,11 @@ class ChargeMonitor:
     E: list = field(default_factory=list)
 
     def record(self, t, f: KdVField, eps):
+        e = energy(f, eps)          # may raise BranchError: record nothing then
         self.times.append(float(t))
         self.M.append(mass(f))
         self.P.append(momentum(f))
-        self.E.append(energy(f, eps))
+        self.E.append(e)
 
     def drift(self):
         out = {}
@@ -188,14 +216,27 @@ def _has_linear_dispersion(flow, eps):
 
 def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
            monitor_stride=10):
-    """Integrating-factor RK4 evolution of one deformed flow.
+    """RK4 evolution of one deformed flow, integrating factor where it applies.
+
+    Each RK4 stage gets u, u_x, u_xx and u_xxx from one batched inverse
+    FFT of (ik)^m u_hat, evaluates the flow's pointwise formula and makes
+    one forward FFT; the four derivatives of the state after a step also
+    serve the first stage of the next step.
 
     When the flow carries the linear dispersion -u_xxx, that part is
-    integrated exactly in Fourier space (factor exp(i k^3 t)) and RK4
-    handles the remaining nonlinear terms; flows whose dispersion is
-    itself nonlinear are stepped by plain RK4.  Raises BlowUpError (with
-    the last completed time) when the solution magnitude grows by more
-    than 1e6 over the initial one.
+    integrated exactly in Fourier space and RK4 handles the remaining
+    terms.  The frame is global: the stepped variable is
+    v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 tau) is computed
+    afresh from the stage time tau (its inverse is its conjugate), so
+    rounding in the factor does not accumulate from step to step.  Flows
+    whose dispersion is itself nonlinear are stepped by plain RK4, with
+    no factor at all.
+
+    Raises BlowUpError (with the last completed time) when the solution
+    magnitude grows by more than 1e6 over the initial one, and
+    BranchError when a fractional power meets its cut.  Either error
+    carries the evolution up to the last good step as `exc.partial`, an
+    Evolution with `completed` False.
     """
     if isinstance(flow, str):
         flow = Flow(flow)
@@ -204,54 +245,78 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError("t_final must be an integer number of steps")
-    k = field.k
+    terms = _TERMS[flow]
+    ik_powers = field._ik_powers
     use_if = _has_linear_dispersion(flow, eps)
-    # u_t = -u_xxx evolves modes as exp(+i k^3 t); the frame variable is
-    # v = exp(-i k^3 t) u_hat
-    ik3 = -1j * k ** 3 if use_if else np.zeros_like(k)
+    # u_t = -u_xxx evolves modes as exp(+i k^3 t)
+    ik3 = 1j * field.k ** 3
     u0_scale = np.abs(field.values).max() + 1e-300
+
+    def factor(tau):
+        """exp(i k^3 tau), taking v to u_hat; None when there is no factor."""
+        return np.exp(ik3 * tau) if use_if else None
+
+    def derivs(v, e):
+        return _derivatives(v if e is None else e * v, ik_powers)
+
+    def N(d, e):
+        """Stepped right-hand side in the frame whose factor is e."""
+        g = terms(d, eps)
+        if e is None:
+            return np.fft.fft(g)
+        # the -u_xxx part lives in the factor
+        return np.conj(e) * np.fft.fft(g + d[3])
 
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
     mon = ChargeMonitor()
-    mon.record(0.0, field, eps)
     snaps = [field]
     times = [0.0]
-
-    v = np.fft.fft(field.values)
     t = 0.0
-
-    def N(vhat, tau):
-        """Stepped RHS in the (possibly moving) integrating-factor frame."""
-        u = np.fft.ifft(np.exp(-ik3 * tau) * vhat)
-        f = field.with_values(u)
-        g = _RHS[flow](f, eps)
-        if use_if:
-            g = g + f.deriv(3)     # the -u_xxx part lives in the factor
-        return np.exp(ik3 * tau) * np.fft.fft(g)
-
-    completed = True
-    for step in range(n_steps):
-        try:
-            k1 = N(v, t)
-            k2 = N(v + 0.5 * dt * k1, t + 0.5 * dt)
-            k3_ = N(v + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = N(v + dt * k3_, t + dt)
-        except BranchError as err:
-            raise BranchError(f"{err} at t = {t:g}", where=err.where) from None
-        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3_ + k4)
-        t = (step + 1) * dt
-        u = np.fft.ifft(np.exp(-ik3 * t) * v)
-        if not np.all(np.isfinite(u)) or np.abs(u).max() > _BLOWUP_FACTOR * u0_scale:
-            raise BlowUpError(f"solution blew up at t = {t:g}", t_last=step * dt)
-        cur = field.with_values(u)
-        if (step + 1) % monitor_stride == 0 or step == n_steps - 1:
-            mon.record(t, cur, eps)
-        if (step + 1) % snap_every == 0 or step == n_steps - 1:
-            snaps.append(cur)
+    try:
+        mon.record(0.0, field, eps)
+        v = np.fft.fft(field.values)
+        e = factor(0.0)
+        d = derivs(v, e)
+        for step in range(n_steps):
+            t_next = (step + 1) * dt
+            e_half, e_next = factor(t + 0.5 * dt), factor(t_next)
+            try:
+                k1 = N(d, e)
+                k2 = N(derivs(v + 0.5 * dt * k1, e_half), e_half)
+                k3_ = N(derivs(v + 0.5 * dt * k2, e_half), e_half)
+                k4 = N(derivs(v + dt * k3_, e_next), e_next)
+            except BranchError as err:
+                raise BranchError(f"{err} at t = {t:g}", where=err.where) from None
+            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3_ + k4)
+            d_next = derivs(v, e_next)
+            u = d_next[0]
+            # a NaN fails the comparison too
+            if not np.abs(u).max() <= _BLOWUP_FACTOR * u0_scale:
+                raise BlowUpError(f"solution blew up at t = {t_next:g}", t_last=t)
+            t, e, d = t_next, e_next, d_next
+            record = (step + 1) % monitor_stride == 0 or step == n_steps - 1
+            snap = (step + 1) % snap_every == 0 or step == n_steps - 1
+            if record or snap:
+                cur = field.with_values(u.copy())
+            if record:
+                mon.record(t, cur, eps)
+            if snap:
+                snaps.append(cur)
+                times.append(t)
+    except (BranchError, BlowUpError) as err:
+        # close the record at the last good state (d holds its rows once t > 0)
+        if times[-1] != t:
+            snaps.append(field.with_values(d[0].copy()))
             times.append(t)
+        if not mon.times or mon.times[-1] != t:
+            with contextlib.suppress(BranchError):
+                mon.record(t, snaps[-1], eps)
+        err.partial = Evolution(times=np.asarray(times), snapshots=snaps,
+                                monitor=mon, completed=False)
+        raise
 
     return Evolution(times=np.asarray(times), snapshots=snaps,
-                     monitor=mon, completed=completed)
+                     monitor=mon, completed=True)
 
 
 # ---------------------------------------------------------------------------

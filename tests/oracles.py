@@ -4,9 +4,10 @@ Each oracle computes a reference value by a method unrelated to the
 implementation under test: ODE shooting for the cubic-potential ground
 state, a symplectic 2x2 eigenproblem for the bilinear Fock model, exact
 ladder-operator algebra over symbolic integers for matrix elements,
-symbolic variational calculus for the deformed KdV right-hand side, and
+symbolic variational calculus for the deformed KdV right-hand side,
 dense finite-difference matrices (solved by LAPACK in the tests) for the
-banded grid operators.
+banded grid operators, and the original KdV stepper (one transform pair
+per derivative, a validated field per stage) for the batched one.
 """
 
 from __future__ import annotations
@@ -216,3 +217,91 @@ def dense_intertwining_residual(pair, probes, conjugate=False):
         resid = max(resid, np.linalg.norm((R @ u)[sl]) / den)
         scale = max(scale, np.linalg.norm((bound @ np.abs(u))[sl]) / den)
     return resid, scale
+
+
+# ---------------------------------------------------------------------------
+# reference KdV stepper
+# ---------------------------------------------------------------------------
+
+def _reference_rhs(kdv, flow, field, eps):
+    """The flows' right-hand sides with one transform pair per derivative."""
+    u = field.values
+    ux = field.deriv(1)
+    uxxx = field.deriv(3)
+    if flow is kdv.Flow.BENDER:
+        return 1j * u * kdv._ipow(1j * ux, eps, "bender nonlinearity") - uxxx
+    uxx = field.deriv(2)
+    base = 1j * ux
+    t1 = -u * ux
+    t2 = (-1j * eps * (eps - 1.0)
+          * kdv._ipow(base, eps - 2.0, "fring curvature term") * uxx**2)
+    t3 = -eps * kdv._ipow(base, eps - 1.0, "fring dispersion term") * uxxx
+    return t1 + t2 + t3
+
+
+def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
+                         monitor_stride=10):
+    """Integrating-factor RK4 as ptlab's KdV stepper first did it.
+
+    Same global frame v = exp(-i k^3 t) u_hat and the same stage times as
+    `kdv.evolve`, but each stage rebuilds a `KdVField`, takes every
+    derivative by its own forward and inverse FFT and recomputes both
+    factor exponentials.  Returns a `kdv.Evolution`.
+    """
+    from ptlab import kdv
+    from ptlab.errors import BlowUpError, BranchError, ConfigurationError
+
+    if isinstance(flow, str):
+        flow = kdv.Flow(flow)
+    if dt == 0 or t_final / dt <= 0:
+        raise ConfigurationError("t_final and dt must be nonzero with the same sign")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ConfigurationError("t_final must be an integer number of steps")
+    k = field.k
+    use_if = kdv._has_linear_dispersion(flow, eps)
+    # u_t = -u_xxx evolves modes as exp(+i k^3 t); the frame variable is
+    # v = exp(-i k^3 t) u_hat
+    ik3 = -1j * k ** 3 if use_if else np.zeros_like(k)
+    u0_scale = np.abs(field.values).max() + 1e-300
+
+    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    mon = kdv.ChargeMonitor()
+    mon.record(0.0, field, eps)
+    snaps = [field]
+    times = [0.0]
+
+    v = np.fft.fft(field.values)
+    t = 0.0
+
+    def N(vhat, tau):
+        """Stepped RHS in the (possibly moving) integrating-factor frame."""
+        u = np.fft.ifft(np.exp(-ik3 * tau) * vhat)
+        f = field.with_values(u)
+        g = _reference_rhs(kdv, flow, f, eps)
+        if use_if:
+            g = g + f.deriv(3)     # the -u_xxx part lives in the factor
+        return np.exp(ik3 * tau) * np.fft.fft(g)
+
+    for step in range(n_steps):
+        try:
+            k1 = N(v, t)
+            k2 = N(v + 0.5 * dt * k1, t + 0.5 * dt)
+            k3_ = N(v + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = N(v + dt * k3_, t + dt)
+        except BranchError as err:
+            raise BranchError(f"{err} at t = {t:g}", where=err.where) from None
+        v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3_ + k4)
+        t = (step + 1) * dt
+        u = np.fft.ifft(np.exp(-ik3 * t) * v)
+        if not np.all(np.isfinite(u)) or np.abs(u).max() > kdv._BLOWUP_FACTOR * u0_scale:
+            raise BlowUpError(f"solution blew up at t = {t:g}", t_last=step * dt)
+        cur = field.with_values(u)
+        if (step + 1) % monitor_stride == 0 or step == n_steps - 1:
+            mon.record(t, cur, eps)
+        if (step + 1) % snap_every == 0 or step == n_steps - 1:
+            snaps.append(cur)
+            times.append(t)
+
+    return kdv.Evolution(times=np.asarray(times), snapshots=snaps,
+                         monitor=mon, completed=True)

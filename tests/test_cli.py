@@ -123,6 +123,17 @@ def test_kdv_evolve_run(tmp_path):
     assert (tmp_path / "snapshot_000.csv").exists()
 
 
+def test_kdv_blow_up_keeps_partial_artifacts(tmp_path, capsys):
+    code = run_main(tmp_path, "kdv", "--model", "fring", "--epsilon", "3",
+                    "--n", "128", "--dt", "1e-3")
+    assert code == cli.EXIT_ENGINE
+    assert "BlowUpError" in capsys.readouterr().err
+    charges = (tmp_path / "charges.csv").read_text().splitlines()
+    assert charges[0] == "t,M,P,re_E,im_E" and len(charges) > 1
+    assert (tmp_path / "snapshot_000.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_kdv_travelling_nonexistence_run(tmp_path):
     code = run_main(tmp_path, "kdv", "--model", "fring", "--epsilon", "3",
                     "--mode", "travelling")

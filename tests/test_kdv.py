@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fring_rhs_symbolic_defects
+from oracles import fring_rhs_symbolic_defects, reference_kdv_evolve
 from ptlab import kdv
 from ptlab.errors import BlowUpError, BranchError, ConfigurationError
 
@@ -117,6 +117,81 @@ def test_blow_up_reported_with_last_time():
     with pytest.raises(BlowUpError) as exc:
         kdv.evolve(f, "fring", 3.0, 1.0, 1e-3)
     assert exc.value.t_last >= 0.0
+
+
+def test_failed_evolution_carries_partial_record():
+    f = kdv.soliton(1.0, 40.0, 128)
+    with pytest.raises(BlowUpError) as exc:
+        kdv.evolve(f, "fring", 3.0, 1.0, 1e-3)
+    part = exc.value.partial
+    assert not part.completed
+    assert part.times[-1] == exc.value.t_last
+    assert part.monitor.times[-1] == exc.value.t_last
+    assert len(part.snapshots) == len(part.times)
+    # a cut crossing at the start leaves only the initial state
+    g = kdv.KdVField.from_callable(lambda x: 1j * np.sin(x), 2 * np.pi, 64)
+    with pytest.raises(BranchError) as exc:
+        kdv.evolve(g, "bender", 0.5, 0.1, 1e-3)
+    assert list(exc.value.partial.times) == [0.0]
+    assert len(exc.value.partial.snapshots) == 1
+    assert exc.value.partial.snapshots[0] is g
+
+
+def offset_cosine_field(L=40.0, n=128):
+    # nonzero mass, momentum and energy, so relative drift bounds bite
+    return kdv.KdVField.from_callable(
+        lambda x: 0.3 + 0.8 * np.cos(2 * np.pi * x / L)
+        + 0.3 * np.sin(4 * np.pi * x / L), L, n)
+
+
+def offset_pt_field(L=20.0, n=64):
+    return kdv.KdVField.from_callable(
+        lambda x: 0.5 + 0.1 * np.cos(2 * np.pi * x / L)
+        + 0.05j * np.sin(4 * np.pi * x / L), L, n)
+
+
+@pytest.mark.parametrize("make, flow, eps, t_final, dt", [
+    (lambda: kdv.soliton(1.0, 40.0, 256), "fring", 1.0, 0.2, 1e-3),
+    (lambda: kdv.soliton(1.0, 40.0, 256), "bender", 1.0, 0.2, 1e-3),
+    (offset_cosine_field, "fring", 3.0, 0.05, 1e-3),
+    (offset_pt_field, "bender", 2.0, 0.05, 5e-4),
+    (lambda: kdv.soliton(1.0, 40.0, 256), "fring", 1.0, -0.1, -1e-3),
+], ids=["fring1", "bender1", "fring3", "bender2", "fring1-backward"])
+def test_stepper_matches_reference(make, flow, eps, t_final, dt):
+    f = make()
+    ev = kdv.evolve(f, flow, eps, t_final, dt, n_snapshots=6, monitor_stride=5)
+    ref = reference_kdv_evolve(f, flow, eps, t_final, dt, n_snapshots=6,
+                               monitor_stride=5)
+    assert np.array_equal(ev.times, ref.times)
+    assert ev.monitor.times == ref.monitor.times
+    for a, b in zip(ev.snapshots, ref.snapshots, strict=True):
+        assert np.abs(a.values - b.values).max() <= 1e-12
+    drift, ref_drift = ev.monitor.drift(), ref.monitor.drift()
+    for name in ("M", "P", "E"):
+        charge = abs(getattr(ref.monitor, name)[0])
+        assert charge > 0.1
+        assert abs(drift[name] - ref_drift[name]) <= 1e-12 * charge
+
+
+@pytest.mark.parametrize("eps", [1.0, 3.0], ids=["integrating-factor", "plain"])
+def test_transform_count_per_step(monkeypatch, eps):
+    # 4 RK4 stages x (one batched inverse + one forward transform) make 8
+    # a step; the bound leaves one more for the state and the monitor.
+    # One transform pair per derivative took 33-41 a step.
+    calls = []
+
+    def counting(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    n_steps = 20
+    kdv.evolve(offset_cosine_field(), "fring", eps, n_steps * 1e-3, 1e-3,
+               n_snapshots=2, monitor_stride=10 * n_steps)
+    assert len(calls) <= 9 * n_steps
 
 
 def test_snapshots_and_monitor_cadence():
