@@ -417,7 +417,11 @@ def run_kdv(params, seed, output_dir):
         _write_evolution(exc.partial, output_dir)
         raise
     arts = _write_evolution(ev, output_dir)
-    return arts, {"drift": {k: v for k, v in ev.monitor.drift().items()}}
+    # M, P and E are charges of the fring flow and of KdV itself (eps = 1);
+    # the bender flow at eps != 1 does not conserve them
+    conserved = params["model"] == "fring" or eps == 1
+    return arts, {"drift": {k: v for k, v in ev.monitor.drift().items()},
+                  "conserved": conserved}
 
 
 def _write_evolution(ev, output_dir):

@@ -9,7 +9,7 @@ integrability checks.
 from __future__ import annotations
 
 import enum
-import math
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,18 +122,27 @@ class CMSSystem:
         return replace(self, q=np.asarray(q, dtype=complex), p=np.asarray(p, dtype=complex))
 
     # per-root coupling arrays ------------------------------------------------
-    def g_per_root(self):
+    @functools.cached_property
+    def _root_couplings(self):
+        """Read-only (g, gtilde, ghat^2) per root, built once per system."""
         rs, c = self.root_system, self.couplings
-        return np.array([c.g(rs.orbit_of(i)) for i in range(rs.n_roots)])
+        eff = effective_couplings(c, rs)
+        orbits = [rs.orbit_of(i) for i in range(rs.n_roots)]
+        arrays = (np.array([c.g(o) for o in orbits]),
+                  np.array([c.gtilde(o) for o in orbits]),
+                  np.array([eff[o] for o in orbits]))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    def g_per_root(self):
+        return self._root_couplings[0]
 
     def gtilde_per_root(self):
-        rs, c = self.root_system, self.couplings
-        return np.array([c.gtilde(rs.orbit_of(i)) for i in range(rs.n_roots)])
+        return self._root_couplings[1]
 
     def ghat_sq_per_root(self):
-        rs = self.root_system
-        eff = effective_couplings(self.couplings, rs)
-        return np.array([eff[rs.orbit_of(i)] for i in range(rs.n_roots)])
+        return self._root_couplings[2]
 
     def ghat_per_root(self):
         return np.sqrt(self.ghat_sq_per_root().astype(complex))
@@ -238,15 +247,22 @@ def shifted_equivalence(sys: CMSSystem):
 
 
 def equations_of_motion(sys: CMSSystem, q=None, p=None):
-    """(qdot, pdot) of the complexified flow of `hamiltonian`."""
+    """(qdot, pdot) of the complexified flow of `hamiltonian`.
+
+    One singularity check and one evaluation of f and f' at a.q serve
+    mu, its Jacobian and the potential gradient (V' = 2 f f').
+    """
     q = _check_nonsingular(sys, q)
     p = sys.p if p is None else np.asarray(p, dtype=complex)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    mu = mu_vector(sys, q)
-    J = mu_jacobian(sys, q)
+    roots = sys.root_system.roots
+    _, gtilde, ghat_sq = sys._root_couplings
+    aq = roots @ q
+    f = sys.potential.f(aq)
+    fp = sys.potential.fprime(aq)
+    mu = 0.5 * ((gtilde * f) @ roots)
+    J = 0.5 * ((roots.T * (gtilde * fp)) @ roots)
     qdot = p + 1j * mu
-    grad_pot = 0.5 * ((sys.ghat_sq_per_root() * sys.potential.Vprime(aq)) @ rs.roots)
+    grad_pot = (ghat_sq * (f * fp)) @ roots
     pdot = -grad_pot - 1j * (J @ p) + J @ mu
     return qdot, pdot
 

@@ -109,8 +109,11 @@ def _fring_terms(d, eps):
     u, ux, uxx, uxxx = d
     base = 1j * ux
     t1 = -u * ux
-    t2 = -1j * eps * (eps - 1.0) * _ipow(base, eps - 2.0, "fring curvature term") * uxx**2
     t3 = -eps * _ipow(base, eps - 1.0, "fring dispersion term") * uxxx
+    if eps == 1:
+        # no curvature term; its factor (i u_x)^-1 is infinite where u_x = 0
+        return t1 + t3
+    t2 = -1j * eps * (eps - 1.0) * _ipow(base, eps - 2.0, "fring curvature term") * uxx**2
     return t1 + t2 + t3
 
 

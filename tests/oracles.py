@@ -6,8 +6,12 @@ state, a symplectic 2x2 eigenproblem for the bilinear Fock model, exact
 ladder-operator algebra over symbolic integers for matrix elements,
 symbolic variational calculus for the deformed KdV right-hand side,
 dense finite-difference matrices (solved by LAPACK in the tests) for the
-banded grid operators, and the original KdV stepper (one transform pair
-per derivative, a validated field per stage) for the batched one.
+banded grid operators, the original KdV stepper (one transform pair per
+derivative, a validated field per stage) for the batched one, the
+matrix-exponential metric objective (`expm` and `expm_frechet` per
+generator) for the eigendecomposition one, and the original CMS
+equations of motion (coupling arrays rebuilt per call) for the cached
+ones.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 
@@ -305,3 +310,77 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
 
     return kdv.Evolution(times=np.asarray(times), snapshots=snaps,
                          monitor=mon, completed=True)
+
+
+# ---------------------------------------------------------------------------
+# reference metric-search objective
+# ---------------------------------------------------------------------------
+
+def reference_metric_objective(coeffs, H, basis):
+    """Squared residual |G - G^+|_F^2 of G = e^A H e^-A and its gradient.
+
+    A = sum c_k B_k; e^(+-A) by `scipy.linalg.expm` and every derivative
+    by its own pair of `expm_frechet` calls, as ptlab's metric search
+    first did it.
+    """
+    A = sum(c * B for c, B in zip(coeffs, basis))
+    eta = sla.expm(A)
+    eta_inv = sla.expm(-A)
+    G = eta @ H @ eta_inv
+    R = G - G.T.conj()
+    r2 = float(np.vdot(R, R).real)
+    if not np.isfinite(r2):
+        # overflow along an unbounded generator direction; steer back
+        return 1e60, np.asarray(coeffs, dtype=float) * 1e60
+    grad = np.empty(len(coeffs))
+    for k, B in enumerate(basis):
+        _, dEta = sla.expm_frechet(A, B)
+        _, dEtaInv = sla.expm_frechet(-A, -B)
+        dG = dEta @ H @ eta_inv + eta @ H @ dEtaInv
+        dR = dG - dG.T.conj()
+        grad[k] = 2.0 * float(np.vdot(R, dR).real)
+    return r2, grad
+
+
+# ---------------------------------------------------------------------------
+# reference CMS equations of motion
+# ---------------------------------------------------------------------------
+
+def reference_equations_of_motion(sys, q=None, p=None):
+    """(qdot, pdot) of the deformed CMS flow as ptlab first computed them.
+
+    The per-root coupling arrays are rebuilt from the Weyl orbits on every
+    call, and mu, its Jacobian and the potential gradient each evaluate
+    the potential (and run the singularity check) on their own.
+    """
+    from ptlab import cms
+
+    rs = sys.root_system
+
+    def gtilde_per_root():
+        c = sys.couplings
+        return np.array([c.gtilde(rs.orbit_of(i)) for i in range(rs.n_roots)])
+
+    def ghat_sq_per_root():
+        eff = cms.effective_couplings(sys.couplings, rs)
+        return np.array([eff[rs.orbit_of(i)] for i in range(rs.n_roots)])
+
+    def mu_vector(q):
+        q = cms._check_nonsingular(sys, q)
+        w = gtilde_per_root() * sys.potential.f(rs.roots @ q)
+        return 0.5 * (w @ rs.roots)
+
+    def mu_jacobian(q):
+        q = cms._check_nonsingular(sys, q)
+        w = gtilde_per_root() * sys.potential.fprime(rs.roots @ q)
+        return 0.5 * np.einsum("a,ak,aj->kj", w, rs.roots, rs.roots)
+
+    q = cms._check_nonsingular(sys, q)
+    p = sys.p if p is None else np.asarray(p, dtype=complex)
+    aq = rs.roots @ q
+    mu = mu_vector(q)
+    J = mu_jacobian(q)
+    qdot = p + 1j * mu
+    grad_pot = 0.5 * ((ghat_sq_per_root() * sys.potential.Vprime(aq)) @ rs.roots)
+    pdot = -grad_pot - 1j * (J @ p) + J @ mu
+    return qdot, pdot

@@ -123,6 +123,18 @@ def test_kdv_evolve_run(tmp_path):
     assert (tmp_path / "snapshot_000.csv").exists()
 
 
+@pytest.mark.parametrize("model, eps, conserved", [
+    ("bender", "2", False), ("bender", "1", True), ("fring", "3", True)])
+def test_kdv_manifest_labels_charge_conservation(tmp_path, model, eps, conserved):
+    code = run_main(tmp_path, "kdv", "--model", model, "--epsilon", eps,
+                    "--profile", "cosine", "--amplitude", "0.3", "--n", "64",
+                    "--t-end", "0.01", "--dt", "1e-3", "--snapshots", "2")
+    assert code == cli.EXIT_OK
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["conserved"] is conserved
+    assert set(summary["drift"]) == {"M", "P", "E"}
+
+
 def test_kdv_blow_up_keeps_partial_artifacts(tmp_path, capsys):
     code = run_main(tmp_path, "kdv", "--model", "fring", "--epsilon", "3",
                     "--n", "128", "--dt", "1e-3")

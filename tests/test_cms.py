@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rational_calogero_lax_reference
+from oracles import rational_calogero_lax_reference, reference_equations_of_motion
 from ptlab import cms
 from ptlab.errors import SingularConfigError
 from ptlab.rootsys import build_cartan_weyl, build_root_system
@@ -155,6 +155,25 @@ def test_equations_of_motion_match_hamiltonian_gradient():
         dHdp = (cms.hamiltonian(sys, q, p + dq) - cms.hamiltonian(sys, q, p - dq)) / (2 * h)
         assert qd[i] == pytest.approx(dHdp, abs=1e-6)
         assert pd[i] == pytest.approx(-dHdq, abs=1e-6)
+
+
+@pytest.mark.parametrize("potential", ["rational", "trigonometric", "hyperbolic"])
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                          ("C", 2), ("C", 3)])
+def test_equations_of_motion_match_reference(family, rank, potential):
+    rng = np.random.default_rng(19)
+    # distinct long-orbit couplings where the system has long roots
+    sys = make(family, rank, potential=potential, g_long=0.6, gtilde_long=1.3)
+    for _ in range(5):
+        q, p = random_state(rng, sys.root_system, sys.potential)
+        q = q + 0.05j * rng.normal(size=q.size)
+        p = p + 0.3j * rng.normal(size=p.size)
+        got = cms.equations_of_motion(sys, q, p)
+        ref = reference_equations_of_motion(sys, q, p)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-13 * (1.0 + np.abs(b).max())
+    with pytest.raises(SingularConfigError):
+        cms.equations_of_motion(sys, np.zeros(sys.dim), p)
 
 
 def test_trajectory_conserves_energy():

@@ -50,6 +50,18 @@ def test_flows_coincide_with_kdv_at_eps_one():
     assert np.abs(kdv.rhs_fring(f, 1.0) - classic).max() < 1e-10
 
 
+def test_constant_state_is_stationary_at_eps_one():
+    # u_x = 0 everywhere: the fring curvature factor (i u_x)^-1 would be
+    # infinite, but at eps = 1 the term is absent
+    f = kdv.KdVField(L=10.0, values=0.5 * np.ones(32))
+    assert np.all(np.isfinite(kdv.rhs_fring(f, 1.0)))
+    assert np.abs(kdv.rhs_fring(f, 1.0)).max() < 1e-15
+    for flow in ("fring", "bender"):
+        ev = kdv.evolve(f, flow, 1.0, 0.01, 1e-3)
+        assert ev.completed
+        assert np.abs(ev.snapshots[-1].values - 0.5).max() < 1e-14
+
+
 def test_fring_rhs_is_variational():
     # exact symbolic check that the literal right-hand side equals
     # d/dx of the variational derivative of the deformed density

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (bilinear_levels, cubic_ground_energy,
-                     cubic_interaction_element, dense_schrodinger)
+                     cubic_interaction_element, dense_schrodinger,
+                     reference_metric_objective)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
 
@@ -232,6 +233,66 @@ def test_metric_gradient_matches_finite_differences():
         rp, _ = spectra._metric_residual_and_grad(c0 + dc, H, basis)
         rm, _ = spectra._metric_residual_and_grad(c0 - dc, H, basis)
         assert grad[k] == pytest.approx((rp - rm) / (2 * h), rel=1e-4, abs=1e-6)
+
+
+@pytest.mark.parametrize("ansatz_dim", [1, 3, 6])
+@pytest.mark.parametrize("dim", [24, 40, 80])
+@pytest.mark.parametrize("model", ["swanson", "reggeon"])
+def test_metric_objective_matches_reference(model, dim, ansatz_dim):
+    op = (spectra.swanson_model(2.0, 0.5, 0.3, dim) if model == "swanson"
+          else spectra.reggeon_single_site(1.0, 0.3, dim))
+    # the generator basis in the scaled coordinates that metric_search uses
+    basis = [B / (1.0 + np.linalg.norm(B, 2))
+             for B in spectra.metric_ansatz_basis(dim, ansatz_dim)]
+    rng = np.random.default_rng(dim + ansatz_dim)
+    # at the origin every eigenvalue of A is 0: only the limit branch of
+    # the divided differences runs
+    for c in (np.zeros(ansatz_dim), rng.normal(size=ansatz_dim)):
+        r2, grad = spectra._metric_residual_and_grad(c, op.matrix, basis)
+        r2_ref, grad_ref = reference_metric_objective(c, op.matrix, basis)
+        assert abs(r2 - r2_ref) <= 1e-12 * r2_ref
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+
+
+def test_metric_objective_overflow_steers_back():
+    op = spectra.swanson_model(2.0, 0.5, 0.3, 40)
+    basis = spectra.metric_ansatz_basis(40, 3)
+    c = np.array([0.0, 40.0, 0.0])
+    r2, grad = spectra._metric_residual_and_grad(c, op.matrix, basis)
+    assert r2 == 1e60
+    assert np.array_equal(grad, c * 1e60)
+
+
+def test_metric_search_makes_at_most_one_exponential(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("expm", "expm_frechet"):
+        monkeypatch.setattr(spectra.sla, name, counting(getattr(spectra.sla, name)))
+    op = spectra.swanson_model(2.0, 0.3, 0.2, 24)
+    basis = spectra.metric_ansatz_basis(24, 3)
+    spectra._metric_residual_and_grad(np.full(3, 0.1), op.matrix, basis)
+    assert calls == []
+    res = spectra.metric_search(op, seed=7, restarts=3)
+    assert res.converged and res.positive
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("g, dim", [(0.5, 24), (0.5, 40), (0.3, 24), (0.3, 40)])
+def test_metric_search_matches_reference_objective(monkeypatch, g, dim):
+    # the four searches of the benchmark's metric sweep, at one seed
+    op = spectra.swanson_model(2.0, g, 0.2, dim)
+    res = spectra.metric_search(op, seed=7, restarts=3)
+    monkeypatch.setattr(spectra, "_metric_residual_and_grad",
+                        reference_metric_objective)
+    ref = spectra.metric_search(op, seed=7, restarts=3)
+    assert res.converged and res.positive
+    assert res.coefficients[0] == pytest.approx(ref.coefficients[0], abs=1e-8)
 
 
 def test_metric_search_recovers_exact_swanson_generator():
