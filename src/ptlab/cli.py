@@ -331,6 +331,8 @@ def run_cms(params, seed, output_dir):
                            couplings=couplings, q=zero + 1.0, p=zero)
 
     if params["check"] != "none":
+        if params["samples"] < 1:
+            raise ConfigurationError(f"samples must be >= 1, got {params['samples']}")
         rows = []
         basis = rootsys.build_cartan_weyl(rs) if params["check"] == "lax" else None
         for i in range(params["samples"]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularConfigError
+from .errors import ConfigurationError, SingularConfigError
 from .rootsys import CartanWeylBasis, RootSystem
 
 SINGULAR_GUARD = 1e-6
@@ -119,36 +119,33 @@ class CMSSystem:
         return self.root_system.dim
 
     def at(self, q, p):
-        return replace(self, q=np.asarray(q, dtype=complex), p=np.asarray(p, dtype=complex))
+        """The same system at (q, p); the per-root coupling arrays carry over."""
+        moved = replace(self, q=np.asarray(q, dtype=complex), p=np.asarray(p, dtype=complex))
+        if "_root_couplings" in self.__dict__:
+            moved.__dict__["_root_couplings"] = self._root_couplings
+        return moved
 
-    # per-root coupling arrays ------------------------------------------------
     @functools.cached_property
     def _root_couplings(self):
-        """Read-only (g, gtilde, ghat^2) per root, built once per system."""
+        """Read-only (g, gtilde, ghat^2, ghat) per root, built once per system."""
         rs, c = self.root_system, self.couplings
         eff = effective_couplings(c, rs)
         orbits = [rs.orbit_of(i) for i in range(rs.n_roots)]
+        ghat_sq = np.array([eff[o] for o in orbits])
         arrays = (np.array([c.g(o) for o in orbits]),
                   np.array([c.gtilde(o) for o in orbits]),
-                  np.array([eff[o] for o in orbits]))
+                  ghat_sq, np.sqrt(ghat_sq.astype(complex)))
         for a in arrays:
             a.flags.writeable = False
         return arrays
 
-    def g_per_root(self):
-        return self._root_couplings[0]
-
-    def gtilde_per_root(self):
-        return self._root_couplings[1]
-
-    def ghat_sq_per_root(self):
-        return self._root_couplings[2]
-
-    def ghat_per_root(self):
-        return np.sqrt(self.ghat_sq_per_root().astype(complex))
-
 
 def _check_nonsingular(sys: CMSSystem, q=None):
+    """a.q for every root, refusing points near a singular hyperplane.
+
+    The one place that evaluates a.q: each public function calls it once
+    and evaluates f (and f') once from its result.
+    """
     q = sys.q if q is None else np.asarray(q, dtype=complex)
     aq = sys.root_system.roots @ q
     d = sys.potential.hyperplane_distance(aq)
@@ -158,25 +155,21 @@ def _check_nonsingular(sys: CMSSystem, q=None):
             f"configuration within {d.min():.2e} of the singular hyperplane of "
             f"root {sys.root_system.roots[i]}"
         )
-    return q
+    return aq
+
+
+def _momentum(sys: CMSSystem, p):
+    return sys.p if p is None else np.asarray(p, dtype=complex)
+
+
+def _mu(sys: CMSSystem, f):
+    """mu = (1/2) sum_a gtilde_a f(a.q) a from f at a checked point."""
+    return 0.5 * ((sys._root_couplings[1] * f) @ sys.root_system.roots)
 
 
 def mu_vector(sys: CMSSystem, q=None):
     """Deformation vector mu = (1/2) sum_a gtilde_a f(a.q) a."""
-    q = _check_nonsingular(sys, q)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    w = sys.gtilde_per_root() * sys.potential.f(aq)
-    return 0.5 * (w @ rs.roots)
-
-
-def mu_jacobian(sys: CMSSystem, q=None):
-    """d mu_k / d q_j = (1/2) sum_a gtilde_a f'(a.q) a_k a_j (symmetric)."""
-    q = _check_nonsingular(sys, q)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    w = sys.gtilde_per_root() * sys.potential.fprime(aq)
-    return 0.5 * np.einsum("a,ak,aj->kj", w, rs.roots, rs.roots)
+    return _mu(sys, sys.potential.f(_check_nonsingular(sys, q)))
 
 
 def verify_mu_identity(sys: CMSSystem):
@@ -188,11 +181,9 @@ def verify_mu_identity(sys: CMSSystem):
     potentials the returned residual is generically large.
     """
     rs = sys.root_system
-    q = _check_nonsingular(sys)
-    mu = mu_vector(sys)
-    lhs = mu @ mu
-    aq = rs.roots @ q
-    Vaq = sys.potential.V(aq)
+    f = sys.potential.f(_check_nonsingular(sys))
+    mu = _mu(sys, f)
+    V = f**2
     rhs = 0.0
     for orbit in ("short", "long"):
         idx = sorted(rs.long_roots if orbit == "long" else rs.short_roots)
@@ -200,19 +191,21 @@ def verify_mu_identity(sys: CMSSystem):
             continue
         a2 = rs.orbit_length_sq(orbit)
         gt = sys.couplings.gtilde(orbit)
-        rhs = rhs + 0.5 * a2 * gt**2 * Vaq[idx].sum()
-    return float(abs(lhs - rhs))
+        rhs = rhs + 0.5 * a2 * gt**2 * V[idx].sum()
+    return float(abs(mu @ mu - rhs))
+
+
+def _hamiltonian(sys: CMSSystem, aq, p):
+    """(H, mu, (1/2) sum ghat^2 V) at a checked point, from one f(a.q)."""
+    f = sys.potential.f(aq)
+    mu = _mu(sys, f)
+    pot = 0.5 * (sys._root_couplings[2] * f**2).sum()
+    return 0.5 * (p @ p) + pot + 1j * (mu @ p) - 0.5 * (mu @ mu), mu, pot
 
 
 def hamiltonian(sys: CMSSystem, q=None, p=None):
     """Deformed Hamiltonian p^2/2 + (1/2) sum ghat^2 V + i mu.p - mu^2/2."""
-    q = _check_nonsingular(sys, q)
-    p = sys.p if p is None else np.asarray(p, dtype=complex)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    mu = mu_vector(sys, q)
-    pot = 0.5 * (sys.ghat_sq_per_root() * sys.potential.V(aq)).sum()
-    return 0.5 * (p @ p) + pot + 1j * (mu @ p) - 0.5 * (mu @ mu)
+    return _hamiltonian(sys, _check_nonsingular(sys, q), _momentum(sys, p))[0]
 
 
 def hamiltonian_undeformed_form(sys: CMSSystem, q=None, p=None):
@@ -221,12 +214,10 @@ def hamiltonian_undeformed_form(sys: CMSSystem, q=None, p=None):
     Coincides with `hamiltonian` for the rational potential, where the
     mu-identity turns the -mu^2/2 term into the coupling redefinition.
     """
-    q = _check_nonsingular(sys, q)
-    p = sys.p if p is None else np.asarray(p, dtype=complex)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    mu = mu_vector(sys, q)
-    pot = 0.5 * (sys.g_per_root() ** 2 * sys.potential.V(aq)).sum()
+    f = sys.potential.f(_check_nonsingular(sys, q))
+    p = _momentum(sys, p)
+    mu = _mu(sys, f)
+    pot = 0.5 * (sys._root_couplings[0] ** 2 * f**2).sum()
     return 0.5 * (p @ p) + pot + 1j * (mu @ p)
 
 
@@ -237,33 +228,31 @@ def shifted_equivalence(sys: CMSSystem):
     couplings evaluated at complex momentum; the residual is an algebraic
     zero for all three potentials.
     """
-    q = _check_nonsingular(sys)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    mu = mu_vector(sys)
+    h, mu, pot = _hamiltonian(sys, _check_nonsingular(sys), sys.p)
     shifted = sys.p + 1j * mu
-    h_cal = 0.5 * (shifted @ shifted) + 0.5 * (sys.ghat_sq_per_root() * sys.potential.V(aq)).sum()
-    return float(abs(hamiltonian(sys) - h_cal))
+    return float(abs(h - (0.5 * (shifted @ shifted) + pot)))
 
 
-def equations_of_motion(sys: CMSSystem, q=None, p=None):
-    """(qdot, pdot) of the complexified flow of `hamiltonian`.
+def _flow(sys: CMSSystem, p, f, fp):
+    """(J, qdot, pdot) from f and f' at a checked point; J = d mu / dq.
 
-    One singularity check and one evaluation of f and f' at a.q serve
-    mu, its Jacobian and the potential gradient (V' = 2 f f').
+    V' = 2 f f' gives the potential gradient from the same evaluation.
     """
-    q = _check_nonsingular(sys, q)
-    p = sys.p if p is None else np.asarray(p, dtype=complex)
     roots = sys.root_system.roots
-    _, gtilde, ghat_sq = sys._root_couplings
-    aq = roots @ q
-    f = sys.potential.f(aq)
-    fp = sys.potential.fprime(aq)
-    mu = 0.5 * ((gtilde * f) @ roots)
+    _, gtilde, ghat_sq, _ = sys._root_couplings
+    mu = _mu(sys, f)
     J = 0.5 * ((roots.T * (gtilde * fp)) @ roots)
     qdot = p + 1j * mu
     grad_pot = (ghat_sq * (f * fp)) @ roots
     pdot = -grad_pot - 1j * (J @ p) + J @ mu
+    return J, qdot, pdot
+
+
+def equations_of_motion(sys: CMSSystem, q=None, p=None):
+    """(qdot, pdot) of the complexified flow of `hamiltonian`."""
+    aq = _check_nonsingular(sys, q)
+    _, qdot, pdot = _flow(sys, _momentum(sys, p), sys.potential.f(aq),
+                          sys.potential.fprime(aq))
     return qdot, pdot
 
 
@@ -283,8 +272,10 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
     Aborts cleanly when the flow approaches a singular hyperplane and
     returns the partial trajectory with `completed=False`.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0 or n_steps < 0 or record_every < 1:
+        raise ConfigurationError(
+            f"need dt > 0, n_steps >= 0 and record_every >= 1, got dt={dt}, "
+            f"n_steps={n_steps}, record_every={record_every}")
     d = sys.dim
     y = np.concatenate([sys.q, sys.p]).astype(complex)
 
@@ -328,86 +319,56 @@ class LaxPair:
     m: np.ndarray            # Cartan vector of M, in the basis-root frame
 
 
-def _lax_parts(sys: CMSSystem, basis: CartanWeylBasis, q=None, p=None):
-    q = _check_nonsingular(sys, q)
-    p = sys.p if p is None else np.asarray(p, dtype=complex)
-    rs = sys.root_system
-    aq = rs.roots @ q
-    ghat = sys.ghat_per_root()
-    f = sys.potential.f(aq)
-    fp = sys.potential.fprime(aq)
-    mu = mu_vector(sys, q)
-    xi = p + 1j * mu
-    L = np.einsum("k,kij->ij", xi, basis.cartan)
-    S = np.zeros_like(L)
-    for k in range(rs.n_roots):
-        L = L + 1j * ghat[k] * f[k] * basis.step[k]
-        S = S + 1j * ghat[k] * fp[k] * basis.step[k]
-    return L, S, xi
+def _step_sum(basis: CartanWeylBasis, xi, c):
+    """xi.H + sum_a c_a E_a over the stacked Cartan and step matrices."""
+    return (np.einsum("k,kij->ij", xi, basis.cartan)
+            + np.einsum("a,aij->ij", c, basis.step))
 
 
-def _lax_m_vector(sys, basis, q=None, p=None):
-    """Cartan vector m of M, fixed by closure of the step-operator part.
+def _lax(sys: CMSSystem, basis: CartanWeylBasis):
+    """(L, M, m, Ldot) at the system's phase-space point, each built once.
 
-    Solves, in the least-squares sense, the linear system obtained by
-    requiring the E_alpha components of Ldot - [L, M] to vanish.
+    L = xi.H + i sum_a ghat_a f(a.q) E_a with xi = p + i mu, which is
+    qdot.  M = m.H + S with S = i sum_a ghat_a f'(a.q) E_a; its Cartan
+    vector m solves, in the least-squares sense, the vanishing of the
+    E_a components of Ldot - [L, M].  Ldot comes from the chain rule
+    along the flow.
     """
-    q = _check_nonsingular(sys, q)
-    p = sys.p if p is None else np.asarray(p, dtype=complex)
-    rs = sys.root_system
-    L, S, xi = _lax_parts(sys, basis, q, p)
-    Ldot = _lax_Ldot(sys, basis, q, p)
+    aq = _check_nonsingular(sys)
+    ghat = sys._root_couplings[3]
+    f, fp = sys.potential.f(aq), sys.potential.fprime(aq)
+    J, qdot, pdot = _flow(sys, sys.p, f, fp)
+    c = 1j * ghat * f
+    L = _step_sum(basis, qdot, c)
+    S = np.einsum("a,aij->ij", 1j * ghat * fp, basis.step)
+    aqdot = sys.root_system.roots @ qdot
+    Ldot = _step_sum(basis, pdot + 1j * (J @ qdot), 1j * ghat * fp * aqdot)
     R0 = Ldot - (L @ S - S @ L)
-    aq = rs.roots @ q
-    ghat = sys.ghat_per_root()
-    f = sys.potential.f(aq)
-    nc = basis.cartan.shape[0]
-    A = np.zeros((rs.n_roots, nc), dtype=complex)
-    b = np.zeros(rs.n_roots, dtype=complex)
-    for k in range(rs.n_roots):
-        c_k = 1j * ghat[k] * f[k]
-        A[k] = c_k * basis.basis_roots[k]
-        b[k] = -np.trace(R0 @ basis.step[rs.negative_index(k)])
-    m, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return m
-
-
-def _lax_Ldot(sys, basis, q, p):
-    rs = sys.root_system
-    qdot, pdot = equations_of_motion(sys, q, p)
-    J = mu_jacobian(sys, q)
-    xidot = pdot + 1j * (J @ qdot)
-    aq = rs.roots @ q
-    aqdot = rs.roots @ qdot
-    ghat = sys.ghat_per_root()
-    fp = sys.potential.fprime(aq)
-    Ldot = np.einsum("k,kij->ij", xidot, basis.cartan)
-    for k in range(rs.n_roots):
-        Ldot = Ldot + 1j * ghat[k] * fp[k] * aqdot[k] * basis.step[k]
-    return Ldot
+    b = -np.einsum("ij,aji->a", R0, basis.step[basis.negative])
+    m, *_ = np.linalg.lstsq(c[:, None] * basis.basis_roots, b, rcond=None)
+    M = np.einsum("k,kij->ij", m, basis.cartan) + S
+    return L, M, m, Ldot
 
 
 def lax_pair(sys: CMSSystem, basis: CartanWeylBasis):
     """Assemble (L, M) at the system's phase-space point."""
-    L, S, _ = _lax_parts(sys, basis)
-    m = _lax_m_vector(sys, basis)
-    M = np.einsum("k,kij->ij", m, basis.cartan) + S
+    L, M, m, _ = _lax(sys, basis)
     return LaxPair(L=L, M=M, m=m)
 
 
 def lax_residual(sys: CMSSystem, basis: CartanWeylBasis):
     """Frobenius norm of Ldot - [L, M] with Ldot from the chain rule."""
-    pair = lax_pair(sys, basis)
-    Ldot = _lax_Ldot(sys, basis, sys.q, sys.p)
-    comm = pair.L @ pair.M - pair.M @ pair.L
-    return float(np.linalg.norm(Ldot - comm))
+    L, M, _, Ldot = _lax(sys, basis)
+    return float(np.linalg.norm(Ldot - (L @ M - M @ L)))
 
 
 def conserved_charges(sys: CMSSystem, basis: CartanWeylBasis, k_max):
     """Charges I_k = tr(L^k)/2 for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    L, _, _ = _lax_parts(sys, basis)
+    f = sys.potential.f(_check_nonsingular(sys))
+    L = _step_sum(basis, sys.p + 1j * _mu(sys, f),
+                  1j * sys._root_couplings[3] * f)
     out = []
     Lk = np.eye(L.shape[0], dtype=complex)
     for _ in range(k_max):

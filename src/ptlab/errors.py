@@ -5,8 +5,8 @@ class PTLabError(Exception):
     """Base class for all errors raised by ptlab engines."""
 
 
-class ConfigurationError(PTLabError):
-    """Invalid model family / parameter combination."""
+class ConfigurationError(PTLabError, ValueError):
+    """Invalid model family / parameter combination or parameter value."""
 
 
 class CapabilityError(PTLabError):
@@ -36,10 +36,6 @@ class BranchError(PTLabError):
         super().__init__(message)
         self.where = where
         self.partial = None
-
-
-class SingularExponentError(PTLabError):
-    """Negative power of a vanishing derivative."""
 
 
 class BlowUpError(PTLabError):

@@ -198,13 +198,10 @@ def reflect(root, mirror):
 @dataclass(frozen=True)
 class CartanWeylBasis:
     cartan: np.ndarray             # (n_cartan, d, d)
-    step: dict                     # root index -> (d, d) matrix
+    step: np.ndarray               # (n_roots, d, d), E_a indexed like rs.roots
+    negative: np.ndarray           # (n_roots,) index of -a, so step[negative] is E_-a
     basis_roots: np.ndarray        # (n_roots, n_cartan) weights of the Cartan action
     structure_constants: dict      # (i, j) -> eps with [E_i, E_j] = eps E_{i+j}
-
-    @property
-    def matrix_dim(self):
-        return self.cartan.shape[1]
 
 
 def _unit(d, i, j):
@@ -289,18 +286,15 @@ def build_cartan_weyl(rs):
         raise ConfigurationError("Cartan trace form is not proportional to identity")
     cartan /= np.sqrt(c)
 
-    n_pos = rs.n_positive
-    step = {}
-    for k, m in enumerate(pos_steps):
-        m = m.astype(complex)
-        mneg = m.T.copy()
-        t = np.trace(m @ mneg).real
-        step[k] = m / np.sqrt(t)
-        step[k + n_pos] = mneg / np.sqrt(t)
+    # E_-a is the transpose of E_a; both are scaled to tr(E_a E_-a) = 1
+    pos = np.array(pos_steps, dtype=complex)
+    pos /= np.sqrt(np.einsum("kij,kij->k", pos, pos).real)[:, None, None]
+    step = np.concatenate([pos, pos.transpose(0, 2, 1)])
+    negative = np.array([rs.negative_index(i) for i in range(rs.n_roots)])
 
     # weights of the Cartan action, read off numerically
     basis_roots = np.zeros((rs.n_roots, len(cartan)))
-    for k, e in step.items():
+    for k, e in enumerate(step):
         flat = np.argmax(np.abs(e))
         i0, j0 = np.unravel_index(flat, e.shape)
         for a, h in enumerate(cartan):
@@ -312,7 +306,7 @@ def build_cartan_weyl(rs):
     roots = rs.roots
     for i in range(rs.n_roots):
         for j in range(rs.n_roots):
-            if i == j or i == rs.negative_index(j):
+            if i == j or i == negative[j]:
                 continue
             s = roots[i] + roots[j]
             d2 = np.abs(roots - s).sum(axis=1)
@@ -320,7 +314,7 @@ def build_cartan_weyl(rs):
             if d2[k] > 1e-9:
                 continue
             comm = step[i] @ step[j] - step[j] @ step[i]
-            eps = np.trace(comm @ step[rs.negative_index(k)])
+            eps = np.trace(comm @ step[negative[k]])
             struct[(i, j)] = complex(eps)
-    return CartanWeylBasis(cartan=cartan, step=step,
+    return CartanWeylBasis(cartan=cartan, step=step, negative=negative,
                            basis_roots=basis_roots, structure_constants=struct)

@@ -54,7 +54,7 @@ def classify_spectrum(eigs, tol):
     greedily with their nearest conjugate partner; leftovers mean Mixed.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ConfigurationError("tol must be positive")
     eigs = np.asarray(eigs, dtype=complex)
     complex_idx = [i for i, e in enumerate(eigs) if abs(e.imag) >= tol]
     pairing = {}

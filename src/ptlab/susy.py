@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeError
+from .errors import ConfigurationError, NodeError
 from .gridops import band_matvec, derivative, eigenpairs_near, schrodinger_bands
 
 NODE_REL_TOL = 1e-12
@@ -30,9 +30,9 @@ class GridWavefunction:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
         if self.dx <= 0:
-            raise ValueError("dx must be positive")
+            raise ConfigurationError("dx must be positive")
         if self.values.size < 16:
-            raise ValueError("need at least 16 samples")
+            raise ConfigurationError("need at least 16 samples")
 
     @property
     def n(self):

@@ -10,7 +10,8 @@ banded grid operators, the original KdV stepper (one transform pair per
 derivative, a validated field per stage) for the batched one, the
 matrix-exponential metric objective (`expm` and `expm_frechet` per
 generator) for the eigendecomposition one, and the original CMS
-equations of motion (coupling arrays rebuilt per call) for the cached
+equations of motion (coupling arrays rebuilt per call) and Lax pair
+(per-root loops over the step matrices) for the cached and stacked
 ones.
 """
 
@@ -343,8 +344,50 @@ def reference_metric_objective(coeffs, H, basis):
 
 
 # ---------------------------------------------------------------------------
-# reference CMS equations of motion
+# reference CMS equations of motion and Lax pair
 # ---------------------------------------------------------------------------
+
+def _reference_check_nonsingular(sys, q=None):
+    """ptlab's first singularity check: returns q, not a.q."""
+    from ptlab import cms
+    from ptlab.errors import SingularConfigError
+
+    q = sys.q if q is None else np.asarray(q, dtype=complex)
+    aq = sys.root_system.roots @ q
+    d = sys.potential.hyperplane_distance(aq)
+    if d.min() < cms.SINGULAR_GUARD:
+        i = int(np.argmin(d))
+        raise SingularConfigError(
+            f"configuration within {d.min():.2e} of the singular hyperplane of "
+            f"root {sys.root_system.roots[i]}"
+        )
+    return q
+
+
+def _reference_per_root(sys):
+    """(gtilde, ghat^2) per root, rebuilt from the Weyl orbits."""
+    from ptlab import cms
+
+    rs, c = sys.root_system, sys.couplings
+    eff = cms.effective_couplings(c, rs)
+    orbits = [rs.orbit_of(i) for i in range(rs.n_roots)]
+    return (np.array([c.gtilde(o) for o in orbits]),
+            np.array([eff[o] for o in orbits]))
+
+
+def _reference_mu_vector(sys, q):
+    q = _reference_check_nonsingular(sys, q)
+    rs = sys.root_system
+    w = _reference_per_root(sys)[0] * sys.potential.f(rs.roots @ q)
+    return 0.5 * (w @ rs.roots)
+
+
+def _reference_mu_jacobian(sys, q):
+    q = _reference_check_nonsingular(sys, q)
+    rs = sys.root_system
+    w = _reference_per_root(sys)[0] * sys.potential.fprime(rs.roots @ q)
+    return 0.5 * np.einsum("a,ak,aj->kj", w, rs.roots, rs.roots)
+
 
 def reference_equations_of_motion(sys, q=None, p=None):
     """(qdot, pdot) of the deformed CMS flow as ptlab first computed them.
@@ -353,34 +396,83 @@ def reference_equations_of_motion(sys, q=None, p=None):
     call, and mu, its Jacobian and the potential gradient each evaluate
     the potential (and run the singularity check) on their own.
     """
-    from ptlab import cms
-
     rs = sys.root_system
-
-    def gtilde_per_root():
-        c = sys.couplings
-        return np.array([c.gtilde(rs.orbit_of(i)) for i in range(rs.n_roots)])
-
-    def ghat_sq_per_root():
-        eff = cms.effective_couplings(sys.couplings, rs)
-        return np.array([eff[rs.orbit_of(i)] for i in range(rs.n_roots)])
-
-    def mu_vector(q):
-        q = cms._check_nonsingular(sys, q)
-        w = gtilde_per_root() * sys.potential.f(rs.roots @ q)
-        return 0.5 * (w @ rs.roots)
-
-    def mu_jacobian(q):
-        q = cms._check_nonsingular(sys, q)
-        w = gtilde_per_root() * sys.potential.fprime(rs.roots @ q)
-        return 0.5 * np.einsum("a,ak,aj->kj", w, rs.roots, rs.roots)
-
-    q = cms._check_nonsingular(sys, q)
+    q = _reference_check_nonsingular(sys, q)
     p = sys.p if p is None else np.asarray(p, dtype=complex)
     aq = rs.roots @ q
-    mu = mu_vector(q)
-    J = mu_jacobian(q)
+    mu = _reference_mu_vector(sys, q)
+    J = _reference_mu_jacobian(sys, q)
     qdot = p + 1j * mu
-    grad_pot = 0.5 * ((ghat_sq_per_root() * sys.potential.Vprime(aq)) @ rs.roots)
+    grad_pot = 0.5 * ((_reference_per_root(sys)[1] * sys.potential.Vprime(aq))
+                      @ rs.roots)
     pdot = -grad_pot - 1j * (J @ p) + J @ mu
     return qdot, pdot
+
+
+def reference_lax(sys, basis):
+    """(L, M, m, residual) of the CMS Lax pair as ptlab first built them.
+
+    Per-root Python loops over the step matrices; the m-vector solve builds
+    L, S and Ldot once more, and the residual builds Ldot a third time.
+    """
+    rs = sys.root_system
+
+    def ghat_per_root():
+        return np.sqrt(_reference_per_root(sys)[1].astype(complex))
+
+    def lax_parts(q=None, p=None):
+        q = _reference_check_nonsingular(sys, q)
+        p = sys.p if p is None else np.asarray(p, dtype=complex)
+        aq = rs.roots @ q
+        ghat = ghat_per_root()
+        f = sys.potential.f(aq)
+        fp = sys.potential.fprime(aq)
+        mu = _reference_mu_vector(sys, q)
+        xi = p + 1j * mu
+        L = np.einsum("k,kij->ij", xi, basis.cartan)
+        S = np.zeros_like(L)
+        for k in range(rs.n_roots):
+            L = L + 1j * ghat[k] * f[k] * basis.step[k]
+            S = S + 1j * ghat[k] * fp[k] * basis.step[k]
+        return L, S, xi
+
+    def lax_m_vector(q=None, p=None):
+        q = _reference_check_nonsingular(sys, q)
+        p = sys.p if p is None else np.asarray(p, dtype=complex)
+        L, S, xi = lax_parts(q, p)
+        Ldot = lax_Ldot(q, p)
+        R0 = Ldot - (L @ S - S @ L)
+        aq = rs.roots @ q
+        ghat = ghat_per_root()
+        f = sys.potential.f(aq)
+        nc = basis.cartan.shape[0]
+        A = np.zeros((rs.n_roots, nc), dtype=complex)
+        b = np.zeros(rs.n_roots, dtype=complex)
+        for k in range(rs.n_roots):
+            c_k = 1j * ghat[k] * f[k]
+            A[k] = c_k * basis.basis_roots[k]
+            b[k] = -np.trace(R0 @ basis.step[rs.negative_index(k)])
+        m, *_ = np.linalg.lstsq(A, b, rcond=None)
+        return m
+
+    def lax_Ldot(q, p):
+        qdot, pdot = reference_equations_of_motion(sys, q, p)
+        J = _reference_mu_jacobian(sys, q)
+        xidot = pdot + 1j * (J @ qdot)
+        aq = rs.roots @ q
+        aqdot = rs.roots @ qdot
+        ghat = ghat_per_root()
+        fp = sys.potential.fprime(aq)
+        Ldot = np.einsum("k,kij->ij", xidot, basis.cartan)
+        for k in range(rs.n_roots):
+            Ldot = Ldot + 1j * ghat[k] * fp[k] * aqdot[k] * basis.step[k]
+        return Ldot
+
+    # lax_pair
+    L, S, _ = lax_parts()
+    m = lax_m_vector()
+    M = np.einsum("k,kij->ij", m, basis.cartan) + S
+    # lax_residual
+    Ldot = lax_Ldot(sys.q, sys.p)
+    comm = L @ M - M @ L
+    return L, M, m, float(np.linalg.norm(Ldot - comm))

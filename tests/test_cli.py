@@ -188,9 +188,18 @@ def test_exit_code_engine_error(tmp_path, capsys):
     ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "10"],
     ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "100", "--k", "0"],
     ["susy", "--n", "16", "--k", "20"],
+    ["cms", "--family", "A", "--rank", "2", "--dt", "-1"],
+    ["cms", "--family", "A", "--rank", "2", "--record-every", "0"],
+    ["cms", "--family", "A", "--rank", "2", "--check", "lax", "--samples", "0"],
+    ["cms", "--family", "A", "--rank", "2", "--steps", "-5"],
+    ["spectra", "--model", "swanson", "--dim", "24", "--tol", "0"],
+    ["susy", "--n", "10"],
+    ["susy", "--window", "8:-8"],
 ])
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
-    # k must satisfy 1 <= k < n - 1 on every grid engine
+    # k must satisfy 1 <= k < n - 1 on every grid engine; other bad values
+    # (step size, record spacing, sample and grid counts, tolerance,
+    # window) are config errors too
     assert run_main(tmp_path, *argv) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -199,6 +208,11 @@ def test_determinism_byte_identical(tmp_path):
     # the grid runs go through ARPACK, whose start vector must be fixed
     runs = [["cms", "--family", "A", "--rank", "2", "--check", "mu-identity",
              "--samples", "4", "--seed", "11"],
+            ["cms", "--family", "A", "--rank", "2", "--check", "lax",
+             "--samples", "4"],
+            # a trajectory with the I_k charge columns
+            ["cms", "--family", "A", "--rank", "2", "--steps", "40",
+             "--record-every", "10"],
             ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200"],
             ["susy", "--profile", "gaussian-complex", "--n", "300"]]
     for i, argv in enumerate(runs):
@@ -250,6 +264,18 @@ def test_sweep_marks_bad_level_count(tmp_path):
     cells = {c["dir"]: c for c in index["cells"]}
     assert cells["n=200"]["status"] == "ok"
     assert cells["n=16"]["error"].startswith("ConfigurationError")
+
+
+def test_sweep_marks_bad_step_size(tmp_path):
+    cfg = write(tmp_path, "sweep.cfg",
+                "subcommand=cms\nfamily=A\nrank=2\nsteps=20\ndt=1e-3,-1e-3\n")
+    out = tmp_path / "sw"
+    code, index = cli.run_sweep(cfg, output_dir=str(out))
+    assert code == cli.EXIT_PARTIAL
+    cells = {c["dir"]: c for c in index["cells"]}
+    assert cells["dt=1e-3"]["status"] == "ok"
+    assert cells["dt=-1e-3"]["error"].startswith("ConfigurationError")
+    assert json.loads((out / "sweep_manifest.json").read_text())["failed"] == 1
 
 
 def test_sweep_rejects_too_many_grids(tmp_path):

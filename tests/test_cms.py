@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rational_calogero_lax_reference, reference_equations_of_motion
+from oracles import (rational_calogero_lax_reference, reference_equations_of_motion,
+                     reference_lax)
 from ptlab import cms
 from ptlab.errors import SingularConfigError
 from ptlab.rootsys import build_cartan_weyl, build_root_system
@@ -222,6 +223,48 @@ def test_lax_matches_textbook_rational_calogero():
     pair = cms.lax_pair(sys.at(q, p), basis)
     ref = rational_calogero_lax_reference(q, 0.8) + np.diag(p)
     assert np.abs(pair.L - ref).max() < 1e-10
+
+
+@pytest.mark.parametrize("potential", ["rational", "trigonometric", "hyperbolic"])
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3),
+                                          ("D", 4)])
+def test_lax_matches_reference(family, rank, potential):
+    rng = np.random.default_rng(20)
+    sys = make(family, rank, potential=potential, g_long=0.6, gtilde_long=1.3)
+    basis = build_cartan_weyl(sys.root_system)
+    for _ in range(10):
+        q, p = random_state(rng, sys.root_system, sys.potential)
+        s = sys.at(q + 0.05j * rng.normal(size=q.size),
+                   p + 0.3j * rng.normal(size=p.size))
+        pair = cms.lax_pair(s, basis)
+        L, M, m, residual = reference_lax(s, basis)
+        for got, ref in ((pair.L, L), (pair.M, M), (pair.m, m)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # the residual is a difference of commutator terms of size |L| |M|
+        scale = max(residual, np.linalg.norm(L) * np.linalg.norm(M))
+        assert abs(cms.lax_residual(s, basis) - residual) <= 1e-13 * scale
+
+
+def test_one_singularity_check_per_evaluation(monkeypatch):
+    sys = make("B", 3, potential="trigonometric", g_long=0.6, gtilde_long=1.3)
+    basis = build_cartan_weyl(sys.root_system)
+    q, p = random_state(np.random.default_rng(21), sys.root_system, sys.potential)
+    s = sys.at(q, p)
+    calls = []
+    check = cms._check_nonsingular
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cms, "_check_nonsingular", counted)
+    for evaluate in (lambda: cms.lax_residual(s, basis),
+                     lambda: cms.conserved_charges(s, basis, 3),
+                     lambda: cms.hamiltonian(s),
+                     lambda: cms.equations_of_motion(s)):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
 
 
 def test_charges_constant_along_flow():

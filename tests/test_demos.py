@@ -1,4 +1,4 @@
-"""The demos that use the grid eigensolvers run to completion."""
+"""The demos run to completion and print what they are about."""
 
 import os
 import runpy
@@ -9,8 +9,17 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                      "demos")
 
 
-@pytest.mark.parametrize("name", ["03_partner_potentials.py",
-                                  "04_nonhermitian_spectra.py"])
+# one line each demo prints
+EXPECTED = {
+    "01_root_systems.py": "B_2: 8 roots (4 short, 4 long)",
+    "02_deformed_calogero.py": "rational       mu-identity residual  0.00e+00   "
+                               "shifted-form residual  0.00e+00",
+    "03_partner_potentials.py": "level",
+    "04_nonhermitian_spectra.py": "level",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_demo_runs(name, capsys):
     runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
-    assert "level" in capsys.readouterr().out
+    assert EXPECTED[name] in capsys.readouterr().out

@@ -117,6 +117,10 @@ def test_trace_normalization(bases, fr):
     for i in range(rs.n_roots):
         tr = np.trace(cw.step[i] @ cw.step[rs.negative_index(i)])
         assert tr == pytest.approx(1.0, abs=1e-12)
+    # the index array pairs each step operator with its E_-a in one stack
+    tr = np.einsum("aij,aji->a", cw.step, cw.step[cw.negative])
+    assert np.abs(tr - 1.0).max() < 1e-12
+    assert np.array_equal(rs.roots[cw.negative], -rs.roots)
 
 
 @pytest.mark.parametrize("fr", MATRIX_FAMILIES)
