@@ -18,6 +18,8 @@ from .errors import ConfigurationError, SingularConfigError
 from .rootsys import CartanWeylBasis, RootSystem
 
 SINGULAR_GUARD = 1e-6
+# local error tolerance, relative and absolute, of `integrate_trajectory`
+TRAJECTORY_TOL = 1e-12
 
 
 class PotentialKind(enum.Enum):
@@ -233,25 +235,30 @@ def shifted_equivalence(sys: CMSSystem):
     return float(abs(h - (0.5 * (shifted @ shifted) + pot)))
 
 
-def _flow(sys: CMSSystem, p, f, fp):
-    """(J, qdot, pdot) from f and f' at a checked point; J = d mu / dq.
+def _force(sys: CMSSystem, f, fp):
+    """-grad U with U = (1/2) sum ghat^2 f(a.q)^2, from f and f' at a checked point."""
+    return -((sys._root_couplings[2] * (f * fp)) @ sys.root_system.roots)
 
-    V' = 2 f f' gives the potential gradient from the same evaluation.
+
+def _flow(sys: CMSSystem, p, f, fp):
+    """(qdot, pdot, qddot) from f and f' at a checked point.
+
+    mu is a gradient, so H = (p + i mu)^2/2 + U and the flow is
+    qdot = p + i mu, qddot = -grad U.  pdot = qddot - i J qdot with
+    J = d mu / dq, summed per root as (1/2) sum gtilde f' (a.qdot) a so
+    that J is never formed.
     """
     roots = sys.root_system.roots
-    _, gtilde, ghat_sq, _ = sys._root_couplings
-    mu = _mu(sys, f)
-    J = 0.5 * ((roots.T * (gtilde * fp)) @ roots)
-    qdot = p + 1j * mu
-    grad_pot = (ghat_sq * (f * fp)) @ roots
-    pdot = -grad_pot - 1j * (J @ p) + J @ mu
-    return J, qdot, pdot
+    qdot = p + 1j * _mu(sys, f)
+    qddot = _force(sys, f, fp)
+    pdot = qddot - 0.5j * ((sys._root_couplings[1] * fp * (roots @ qdot)) @ roots)
+    return qdot, pdot, qddot
 
 
 def equations_of_motion(sys: CMSSystem, q=None, p=None):
     """(qdot, pdot) of the complexified flow of `hamiltonian`."""
     aq = _check_nonsingular(sys, q)
-    _, qdot, pdot = _flow(sys, _momentum(sys, p), sys.potential.f(aq),
+    qdot, pdot, _ = _flow(sys, _momentum(sys, p), sys.potential.f(aq),
                           sys.potential.fprime(aq))
     return qdot, pdot
 
@@ -267,45 +274,68 @@ class Trajectory:
 
 
 def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
-    """Fixed-step RK4 on complexified phase space.
+    """Adaptive DOP853 on (q, qdot) up to t = n_steps * dt.
 
-    Aborts cleanly when the flow approaches a singular hyperplane and
-    returns the partial trajectory with `completed=False`.
+    The flow is qdot = p + i mu, qddot = -grad U (see `_flow`); each step
+    keeps its local error below TRAJECTORY_TOL, relative and absolute.
+    Records at t = 0, every record_every * dt and at the end come from
+    the solver's dense output and carry p = qdot - i mu(q).  A step that
+    nears a singular hyperplane, or a step size that collapses, ends the
+    run with `completed=False`; the records up to the last accepted step
+    are kept and `error` names the time they reach.
     """
     if not dt > 0 or n_steps < 0 or record_every < 1:
         raise ConfigurationError(
             f"need dt > 0, n_steps >= 0 and record_every >= 1, got dt={dt}, "
             f"n_steps={n_steps}, record_every={record_every}")
-    d = sys.dim
-    y = np.concatenate([sys.q, sys.p]).astype(complex)
+    from scipy.integrate import DOP853     # imported only where trajectories run
 
-    def rhs(y):
-        qd, pd = equations_of_motion(sys, y[:d], y[d:])
-        return np.concatenate([qd, pd])
+    d = sys.dim
+    stops = [(k + 1) * dt for k in range(n_steps)
+             if (k + 1) % record_every == 0 or k == n_steps - 1]
+
+    def rhs(t, y):
+        aq = _check_nonsingular(sys, y[:d])
+        return np.concatenate([y[d:], _force(sys, sys.potential.f(aq),
+                                             sys.potential.fprime(aq))])
 
     ts, qs, ps, es = [], [], [], []
+    t_done = 0.0                            # the records are complete up to here
 
     def record(t, y):
+        nonlocal t_done
+        q = y[:d]
+        aq = _check_nonsingular(sys, q)
+        p = y[d:] - 1j * _mu(sys, sys.potential.f(aq))
         ts.append(t)
-        qs.append(y[:d].copy())
-        ps.append(y[d:].copy())
-        es.append(hamiltonian(sys, y[:d], y[d:]))
+        qs.append(q.copy())
+        ps.append(p)
+        es.append(_hamiltonian(sys, aq, p)[0])
+        t_done = t
 
+    error = None
     try:
+        mu = _mu(sys, sys.potential.f(_check_nonsingular(sys)))
+        y = np.concatenate([sys.q, sys.p + 1j * mu])
         record(0.0, y)
-        for k in range(n_steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (k + 1) % record_every == 0 or k == n_steps - 1:
-                record((k + 1) * dt, y)
+        solver = DOP853(rhs, 0.0, y, n_steps * dt, rtol=TRAJECTORY_TOL,
+                        atol=TRAJECTORY_TOL)
+        j = 0
+        while j < len(stops):
+            message = solver.step()
+            if solver.status == "failed":
+                error = message
+                break
+            dense = solver.dense_output() if stops[j] < solver.t else None
+            while j < len(stops) and stops[j] <= solver.t:
+                record(stops[j], solver.y if stops[j] == solver.t else dense(stops[j]))
+                j += 1
+            t_done = solver.t
     except SingularConfigError as exc:
-        return Trajectory(np.array(ts), np.array(qs), np.array(ps),
-                          np.array(es), completed=False, error=str(exc))
-    return Trajectory(np.array(ts), np.array(qs), np.array(ps),
-                      np.array(es), completed=True)
+        error = str(exc)
+    return Trajectory(np.array(ts), np.array(qs), np.array(ps), np.array(es),
+                      completed=error is None,
+                      error=None if error is None else f"stopped at t = {t_done}: {error}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +362,17 @@ def _lax(sys: CMSSystem, basis: CartanWeylBasis):
     qdot.  M = m.H + S with S = i sum_a ghat_a f'(a.q) E_a; its Cartan
     vector m solves, in the least-squares sense, the vanishing of the
     E_a components of Ldot - [L, M].  Ldot comes from the chain rule
-    along the flow.
+    along the flow; its Cartan part is xidot = qddot = -grad U.
     """
     aq = _check_nonsingular(sys)
     ghat = sys._root_couplings[3]
     f, fp = sys.potential.f(aq), sys.potential.fprime(aq)
-    J, qdot, pdot = _flow(sys, sys.p, f, fp)
+    qdot, _, qddot = _flow(sys, sys.p, f, fp)
     c = 1j * ghat * f
     L = _step_sum(basis, qdot, c)
     S = np.einsum("a,aij->ij", 1j * ghat * fp, basis.step)
     aqdot = sys.root_system.roots @ qdot
-    Ldot = _step_sum(basis, pdot + 1j * (J @ qdot), 1j * ghat * fp * aqdot)
+    Ldot = _step_sum(basis, qddot, 1j * ghat * fp * aqdot)
     R0 = Ldot - (L @ S - S @ L)
     b = -np.einsum("ij,aji->a", R0, basis.step[basis.negative])
     m, *_ = np.linalg.lstsq(c[:, None] * basis.basis_roots, b, rcond=None)

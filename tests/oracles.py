@@ -12,7 +12,8 @@ matrix-exponential metric objective (`expm` and `expm_frechet` per
 generator) for the eigendecomposition one, and the original CMS
 equations of motion (coupling arrays rebuilt per call) and Lax pair
 (per-root loops over the step matrices) for the cached and stacked
-ones.
+ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
+(q, qdot).
 """
 
 from __future__ import annotations
@@ -476,3 +477,49 @@ def reference_lax(sys, basis):
     Ldot = lax_Ldot(sys.q, sys.p)
     comm = L @ M - M @ L
     return L, M, m, float(np.linalg.norm(Ldot - comm))
+
+
+# ---------------------------------------------------------------------------
+# reference CMS trajectory
+# ---------------------------------------------------------------------------
+
+def reference_rk4_trajectory(sys, dt, n_steps, record_every=1):
+    """Fixed-step RK4 on (q, p), ptlab's first CMS integrator.
+
+    Four equations-of-motion evaluations per step and no error control;
+    it aborts when the flow approaches a singular hyperplane and returns
+    the partial trajectory with `completed=False`.
+    """
+    from ptlab.cms import Trajectory, equations_of_motion, hamiltonian
+    from ptlab.errors import SingularConfigError
+
+    d = sys.dim
+    y = np.concatenate([sys.q, sys.p]).astype(complex)
+
+    def rhs(y):
+        qd, pd = equations_of_motion(sys, y[:d], y[d:])
+        return np.concatenate([qd, pd])
+
+    ts, qs, ps, es = [], [], [], []
+
+    def record(t, y):
+        ts.append(t)
+        qs.append(y[:d].copy())
+        ps.append(y[d:].copy())
+        es.append(hamiltonian(sys, y[:d], y[d:]))
+
+    try:
+        record(0.0, y)
+        for k in range(n_steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (k + 1) % record_every == 0 or k == n_steps - 1:
+                record((k + 1) * dt, y)
+    except SingularConfigError as exc:
+        return Trajectory(np.array(ts), np.array(qs), np.array(ps),
+                          np.array(es), completed=False, error=str(exc))
+    return Trajectory(np.array(ts), np.array(qs), np.array(ps),
+                      np.array(es), completed=True)

@@ -1,8 +1,12 @@
 """Config parsing, artifact writing, exit codes and sweeps."""
 
+import csv
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from ptlab import cli
@@ -114,6 +118,35 @@ def test_cms_trajectory_run(tmp_path):
     assert "re_H" in header and "re_I4" in header
 
 
+@pytest.mark.parametrize("seed", [23, 62])
+def test_cms_trajectory_near_collision_keeps_charges(tmp_path, seed):
+    # this start passes close to a collision; fixed-step RK4 lost the
+    # charges here (I_k drifts of 1e2 to 5e5, relative)
+    code = run_main(tmp_path, "cms", "--family", "A", "--rank", "3",
+                    "--potential", "trigonometric", "--steps", "500",
+                    "--seed", str(seed))
+    assert code == cli.EXIT_OK
+    assert json.loads((tmp_path / "manifest.json").read_text())["summary"]["completed"]
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for k in (2, 3, 4):
+        ik = np.array([complex(float(r[f"re_I{k}"]), float(r[f"im_I{k}"])) for r in rows])
+        assert np.abs(ik - ik[0]).max() <= 1e-6 * abs(ik[0]), k
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ptlab", "cms", "--family", "A",
+                           "--rank", "2", "--steps", "5"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "Warning" not in done.stderr
+    assert (tmp_path / "trajectory.csv").exists()
+
+
 def test_kdv_evolve_run(tmp_path):
     code = run_main(tmp_path, "kdv", "--model", "fring", "--n", "128",
                     "--t-end", "0.05", "--dt", "1e-3", "--snapshots", "3")
@@ -213,6 +246,9 @@ def test_determinism_byte_identical(tmp_path):
             # a trajectory with the I_k charge columns
             ["cms", "--family", "A", "--rank", "2", "--steps", "40",
              "--record-every", "10"],
+            # a near-collision start, where the adaptive steps shrink
+            ["cms", "--family", "A", "--rank", "3", "--potential", "trigonometric",
+             "--steps", "500", "--seed", "23"],
             ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200"],
             ["susy", "--profile", "gaussian-complex", "--n", "300"]]
     for i, argv in enumerate(runs):

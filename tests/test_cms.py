@@ -1,13 +1,15 @@
 """Deformed many-body systems: identities, dynamics and Lax pairs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (rational_calogero_lax_reference, reference_equations_of_motion,
-                     reference_lax)
-from ptlab import cms
+                     reference_lax, reference_rk4_trajectory)
+from ptlab import cli, cms
 from ptlab.errors import SingularConfigError
 from ptlab.rootsys import build_cartan_weyl, build_root_system
 
@@ -198,6 +200,94 @@ def test_trajectory_partial_near_singular_start():
     traj = cms.integrate_trajectory(sys, dt=1e-3, n_steps=50)
     assert not traj.completed
     assert traj.error
+
+
+def cli_state(family, rank, potential, seed=7):
+    """The CLI's trajectory start at g = 1, gtilde = 0.5 and the given seed."""
+    sys = make(family, rank, potential=potential, g=1.0, gtilde=0.5)
+    return sys.at(*cli._random_cms_state(np.random.default_rng(seed), sys))
+
+
+def count_checks(monkeypatch, fail_after=None):
+    """Count `_check_nonsingular` calls; optionally refuse after that many."""
+    calls = []
+    check = cms._check_nonsingular
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if fail_after is not None and len(calls) > fail_after:
+            raise SingularConfigError("refused by the test")
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cms, "_check_nonsingular", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, rank, potential", [("A", 2, "rational"),
+                                                     ("A", 3, "hyperbolic")])
+def test_trajectory_matches_reference_rk4(family, rank, potential):
+    # on smooth runs RK4 at dt 1e-3 is itself accurate to about 1e-9
+    s = cli_state(family, rank, potential)
+    got = cms.integrate_trajectory(s, dt=1e-3, n_steps=1000, record_every=100)
+    ref = reference_rk4_trajectory(s, dt=1e-3, n_steps=1000, record_every=100)
+    assert got.completed and ref.completed
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert np.abs(got.q - ref.q).max() < 1e-8
+    assert np.abs(got.p - ref.p).max() < 1e-8
+
+
+def test_trajectory_energy_error_controlled_B3_trigonometric():
+    # fixed-step RK4 drifts by 4e-4 relative on this run
+    s = cli_state("B", 3, "trigonometric")
+    traj = cms.integrate_trajectory(s, dt=1e-3, n_steps=1000, record_every=10)
+    assert traj.completed
+    assert np.abs(traj.energy - traj.energy[0]).max() <= 1e-9 * abs(traj.energy[0])
+
+
+def test_trajectory_fewer_singularity_checks(monkeypatch):
+    s = cli_state("A", 2, "rational")
+    calls = count_checks(monkeypatch)
+    reference_rk4_trajectory(s, dt=1e-3, n_steps=500, record_every=10)
+    n_reference = len(calls)
+    calls.clear()
+    assert cms.integrate_trajectory(s, dt=1e-3, n_steps=500, record_every=10).completed
+    assert len(calls) < n_reference / 2
+
+
+def test_trajectory_stop_keeps_records_before_stop_time(monkeypatch):
+    s = cli_state("A", 3, "hyperbolic")
+    full = cms.integrate_trajectory(s, dt=1e-3, n_steps=1000, record_every=10)
+    calls = count_checks(monkeypatch)
+    cms.integrate_trajectory(s, dt=1e-3, n_steps=1000, record_every=10)
+    count_checks(monkeypatch, fail_after=len(calls) // 2)
+    traj = cms.integrate_trajectory(s, dt=1e-3, n_steps=1000, record_every=10)
+    assert not traj.completed
+    stop = re.fullmatch(r"stopped at t = (\S+): refused by the test", traj.error)
+    t_stop = float(stop.group(1))
+    assert 0.0 < t_stop < 1.0
+    # every record the run reached is kept, and it is the uninterrupted one
+    n = int((full.times <= t_stop).sum())
+    assert 0 < n == len(traj.times) < len(full.times)
+    assert traj.times.tobytes() == full.times[:n].tobytes()
+    assert np.array_equal(traj.q, full.q[:n]) and np.array_equal(traj.p, full.p[:n])
+
+
+def test_trajectory_step_size_collapse_stops_run(monkeypatch):
+    # a force that turns non-finite fails every error test, so the step
+    # size shrinks until the solver gives up
+    s = cli_state("A", 2, "rational")
+    force, calls = cms._force, []
+
+    def failing(*args):
+        calls.append(1)
+        return force(*args) * (1.0 if len(calls) <= 100 else np.nan)
+
+    monkeypatch.setattr(cms, "_force", failing)
+    with np.errstate(invalid="ignore"):
+        traj = cms.integrate_trajectory(s, dt=1e-3, n_steps=1000, record_every=10)
+    assert not traj.completed
+    stop = re.fullmatch(r"stopped at t = (\S+): Required step size .*", traj.error)
+    assert 0 < len(traj.times) and traj.times[-1] <= float(stop.group(1)) < 1.0
 
 
 # ---------------------------------------------------------------------------
