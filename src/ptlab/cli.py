@@ -350,11 +350,7 @@ def run_cms(params, seed, output_dir):
 
     q, p = _random_cms_state(rng, system)
     system = system.at(q, p)
-    basis = None
-    try:
-        basis = rootsys.build_cartan_weyl(rs)
-    except PTLabError:
-        pass
+    basis = rootsys.build_cartan_weyl(rs) if rs.family in cms.LAX_FAMILIES else None
     traj = cms.integrate_trajectory(system, params["dt"], params["steps"],
                                     record_every=params["record_every"])
     d = rs.dim

@@ -2,8 +2,8 @@
 
 Implements the deformed Hamiltonian H = p^2/2 + (1/2) sum ghat_a^2 V(a.q)
 + i mu.p - mu^2/2 with mu(q) = (1/2) sum gtilde_a f(a.q) a, its classical
-flow on complexified phase space, and the Lax-pair machinery used for the
-integrability checks.
+flow on complexified phase space, and, for the A series, the Lax pair used
+for the integrability checks.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularConfigError
+from .errors import CapabilityError, ConfigurationError, SingularConfigError
 from .rootsys import CartanWeylBasis, RootSystem
 
 SINGULAR_GUARD = 1e-6
+# families whose Lax pair closes; Lax and charge requests for others refuse
+LAX_FAMILIES = ("A",)
 # local error tolerance, relative and absolute, of `integrate_trajectory`
 TRAJECTORY_TOL = 1e-12
 
@@ -355,29 +357,32 @@ def _step_sum(basis: CartanWeylBasis, xi, c):
             + np.einsum("a,aij->ij", c, basis.step))
 
 
+def _require_lax(sys: CMSSystem):
+    if sys.root_system.family not in LAX_FAMILIES:
+        raise CapabilityError(f"no closed Lax pair for family {sys.root_system.family}: "
+                              f"Lax pairs and charges exist for {LAX_FAMILIES} only")
+
+
 def _lax(sys: CMSSystem, basis: CartanWeylBasis):
     """(L, M, m, Ldot) at the system's phase-space point, each built once.
 
     L = xi.H + i sum_a ghat_a f(a.q) E_a with xi = p + i mu, which is
-    qdot.  M = m.H + S with S = i sum_a ghat_a f'(a.q) E_a; its Cartan
-    vector m solves, in the least-squares sense, the vanishing of the
-    E_a components of Ldot - [L, M].  Ldot comes from the chain rule
-    along the flow; its Cartan part is xidot = qddot = -grad U.
+    qdot.  M = m.H + i sum_a ghat_a f'(a.q) E_a, with m the Cartan part of
+    diag(w - mean w), w the row sums of i sum_a ghat_a f(a.q)^2 E_a (the
+    mean, a multiple of 1 that commutes with L, would only add norm to m).
+    Ldot comes from the chain rule; its Cartan part is qddot = -grad U.
     """
+    _require_lax(sys)
     aq = _check_nonsingular(sys)
     ghat = sys._root_couplings[3]
     f, fp = sys.potential.f(aq), sys.potential.fprime(aq)
     qdot, _, qddot = _flow(sys, sys.p, f, fp)
     c = 1j * ghat * f
-    L = _step_sum(basis, qdot, c)
-    S = np.einsum("a,aij->ij", 1j * ghat * fp, basis.step)
+    w = np.einsum("a,aij->i", c * f, basis.step)
+    m = np.einsum("kii,i->k", basis.cartan, w - w.mean())
     aqdot = sys.root_system.roots @ qdot
-    Ldot = _step_sum(basis, qddot, 1j * ghat * fp * aqdot)
-    R0 = Ldot - (L @ S - S @ L)
-    b = -np.einsum("ij,aji->a", R0, basis.step[basis.negative])
-    m, *_ = np.linalg.lstsq(c[:, None] * basis.basis_roots, b, rcond=None)
-    M = np.einsum("k,kij->ij", m, basis.cartan) + S
-    return L, M, m, Ldot
+    return (_step_sum(basis, qdot, c), _step_sum(basis, m, 1j * ghat * fp), m,
+            _step_sum(basis, qddot, 1j * ghat * fp * aqdot))
 
 
 def lax_pair(sys: CMSSystem, basis: CartanWeylBasis):
@@ -393,7 +398,8 @@ def lax_residual(sys: CMSSystem, basis: CartanWeylBasis):
 
 
 def conserved_charges(sys: CMSSystem, basis: CartanWeylBasis, k_max):
-    """Charges I_k = tr(L^k)/2 for k = 1..k_max."""
+    """Charges I_k = tr(L^k)/2 for k = 1..k_max, for LAX_FAMILIES only."""
+    _require_lax(sys)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     f = sys.potential.f(_check_nonsingular(sys))

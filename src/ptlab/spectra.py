@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.optimize as sopt
 
 from .errors import ConfigurationError
 from .gridops import eigenpairs_near, schrodinger_bands
@@ -228,10 +227,12 @@ def truncation_diagnostics(build, dim, k=10, ddim=20):
 
 
 def fock_report(op: TruncatedFockOperator, k=10, tol=1e-6, build=None, ddim=20):
+    """Lowest-k levels of `op`; with `build` (build(op.dim) being `op`), also
+    their change under op.dim -> op.dim + ddim."""
     eigs = op.eigenvalues()[:k]
     diag = {}
     if build is not None:
-        change = truncation_diagnostics(build, op.dim, k=k, ddim=ddim)
+        change = np.abs(build(op.dim + ddim).eigenvalues()[:k] - eigs)
         diag = {"truncation_change": change.tolist(),
                 "flagged": [int(i) for i in np.nonzero(change > 1e-8)[0]],
                 "dims": [op.dim, op.dim + ddim]}
@@ -305,16 +306,19 @@ def _metric_residual_and_grad(coeffs, H, basis):
     return r2, grad
 
 
-def metric_search(H, ansatz_dim=3, x0=None, max_iter=500, seed=None, restarts=1):
+def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     """Search for a Hermitian generator A with exp(A) H exp(-A) Hermitian.
 
     Minimizes the Frobenius norm of the anti-Hermitian part of the
     transformed operator by quasi-Newton (L-BFGS) descent with the
     analytic gradient, both from one eigendecomposition of the generator
     per evaluation (see `_metric_residual_and_grad`).
-    Returns the best eta = exp(A) over `restarts` starts; the positivity
-    flag reports whether eta stayed numerically positive definite.
+    Returns the best eta = exp(A) = V e^L V^+ over `restarts` starts, from
+    one more eigendecomposition A = V L V^+; the positivity flag reports
+    whether eta's smallest eigenvalue e^min(L) stays above 1e-12.
     """
+    import scipy.optimize as sopt          # imported only where metrics are searched
+
     if isinstance(H, TruncatedFockOperator):
         H = H.matrix
     H = np.asarray(H, dtype=complex)
@@ -330,25 +334,19 @@ def metric_search(H, ansatz_dim=3, x0=None, max_iter=500, seed=None, restarts=1)
 
     best = None
     for r in range(restarts):
-        if x0 is not None and r == 0:
-            start = np.asarray(x0, dtype=float) / bscale
-        elif r == 0:
-            # the origin is a symmetry-protected critical point; nudge off it
-            start = np.full(len(basis), 0.5)
-        else:
-            start = rng.normal(scale=2.0, size=len(basis))
+        # the origin is a symmetry-protected critical point; nudge off it
+        start = (np.full(len(basis), 0.5) if r == 0
+                 else rng.normal(scale=2.0, size=len(basis)))
         opt = sopt.minimize(_metric_residual_and_grad, start,
                             args=(H, scaled_basis), jac=True, method="L-BFGS-B",
-                            options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14})
+                            options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14})
         resid = float(np.sqrt(max(opt.fun, 0.0)))
         if best is None or resid < best[0]:
             best = (resid, opt.x * bscale)
     resid, coeffs = best
-    A = sum(c * B for c, B in zip(coeffs, basis))
-    eta = sla.expm(A)
-    herm = 0.5 * (eta + eta.T.conj())
-    evmin = sla.eigvalsh(herm).min()
-    positive = bool(evmin > 1e-12)
+    lam, V = sla.eigh(sum(c * B for c, B in zip(coeffs, basis)))
+    eta = (V * np.exp(lam)) @ V.conj().T
+    positive = bool(np.exp(lam.min()) > 1e-12)
     converged = bool(resid < 1e-8 * (1.0 + scale))
     return MetricResult(eta=eta, coefficients=coeffs, residual=resid,
                         converged=converged, positive=positive)

@@ -118,6 +118,13 @@ def test_cms_trajectory_run(tmp_path):
     assert "re_H" in header and "re_I4" in header
 
 
+def test_cms_trajectory_without_lax_pair_has_no_charge_columns(tmp_path):
+    code = run_main(tmp_path, "cms", "--family", "C", "--rank", "2", "--steps", "50")
+    assert code == cli.EXIT_OK
+    header = (tmp_path / "trajectory.csv").read_text().splitlines()[0].split(",")
+    assert header[-2:] == ["re_H", "im_H"]
+
+
 @pytest.mark.parametrize("seed", [23, 62])
 def test_cms_trajectory_near_collision_keeps_charges(tmp_path, seed):
     # this start passes close to a collision; fixed-step RK4 lost the
@@ -217,6 +224,14 @@ def test_exit_code_engine_error(tmp_path, capsys):
     assert "CapabilityError" in capsys.readouterr().err
 
 
+def test_lax_check_refused_off_the_A_series(tmp_path, capsys):
+    # B has matrices but no closed Lax pair: the check refuses, as for G2
+    code = run_main(tmp_path, "cms", "--family", "B", "--rank", "3",
+                    "--check", "lax", "--samples", "3")
+    assert code == cli.EXIT_ENGINE
+    assert "CapabilityError" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "10"],
     ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "100", "--k", "0"],
@@ -250,6 +265,8 @@ def test_determinism_byte_identical(tmp_path):
             ["cms", "--family", "A", "--rank", "3", "--potential", "trigonometric",
              "--steps", "500", "--seed", "23"],
             ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200"],
+            ["spectra", "--model", "swanson", "--delta", "2", "--g", "0.3",
+             "--gtilde", "0.2", "--dim", "24", "--metric", "true"],
             ["susy", "--profile", "gaussian-complex", "--n", "300"]]
     for i, argv in enumerate(runs):
         a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
@@ -291,6 +308,17 @@ def test_sweep_partial_failure(tmp_path):
     statuses = {c["dir"]: c["status"] for c in index["cells"]}
     assert statuses["family=A"] == "ok"
     assert statuses["family=G2"] == "error"
+
+
+def test_sweep_marks_lax_check_off_the_A_series(tmp_path):
+    cfg = write(tmp_path, "sweep.cfg",
+                "subcommand=cms\nfamily=A,D\nrank=4\ncheck=lax\nsamples=2\n")
+    code, index = cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"))
+    assert code == cli.EXIT_PARTIAL
+    cells = {c["dir"]: c for c in index["cells"]}
+    assert cells["family=A"]["status"] == "ok"
+    assert cells["family=D"]["error"].startswith("CapabilityError")
+    assert index["failed"] == 1
 
 
 def test_sweep_marks_bad_level_count(tmp_path):

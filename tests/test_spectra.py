@@ -202,6 +202,8 @@ def test_truncation_diagnostics_flags_unstable_levels():
     rep = spectra.fock_report(build(60), k=10, build=build, ddim=20)
     assert rep.diagnostics["dims"] == [60, 80]
     change = np.array(rep.diagnostics["truncation_change"])
+    # the report reuses its own dim-60 levels: bitwise the separate diagnostic
+    assert np.array_equal(change, spectra.truncation_diagnostics(build, 60, k=10, ddim=20))
     # the low end of the spectrum is already stable, the top is not
     assert change[0] < 1e-8
     assert change.max() > 1e-3
