@@ -21,10 +21,6 @@ cw = build_cartan_weyl(rs)
 gram = np.einsum("aij,bji->ab", cw.cartan, cw.cartan).real
 print("\nB_2 Cartan Gram matrix:\n", np.round(gram, 12))
 
-# structure constants close the algebra: [E_a, E_b] = eps_ab E_{a+b}
-(i, j), eps = next(iter(cw.structure_constants.items()))
-print(f"sample structure constant eps({i},{j}) = {eps:.6f}")
-
 # G2 root data is available, but no matrix representation is built
 try:
     build_cartan_weyl(build_root_system("G2", 2))

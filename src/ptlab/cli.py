@@ -329,12 +329,14 @@ def run_cms(params, seed, output_dir):
     system = cms.CMSSystem(root_system=rs,
                            potential=cms.PotentialKind(params["potential"]),
                            couplings=couplings, q=zero + 1.0, p=zero)
+    # Lax pairs exist only for LAX_FAMILIES; `cms` refuses the others by name
+    lax = rs.family in cms.LAX_FAMILIES and params["check"] != "mu-identity"
+    basis = rootsys.build_cartan_weyl(rs) if lax else None
 
     if params["check"] != "none":
         if params["samples"] < 1:
             raise ConfigurationError(f"samples must be >= 1, got {params['samples']}")
         rows = []
-        basis = rootsys.build_cartan_weyl(rs) if params["check"] == "lax" else None
         for i in range(params["samples"]):
             q, p = _random_cms_state(rng, system)
             s = system.at(q, p)
@@ -350,7 +352,6 @@ def run_cms(params, seed, output_dir):
 
     q, p = _random_cms_state(rng, system)
     system = system.at(q, p)
-    basis = rootsys.build_cartan_weyl(rs) if rs.family in cms.LAX_FAMILIES else None
     traj = cms.integrate_trajectory(system, params["dt"], params["steps"],
                                     record_every=params["record_every"])
     d = rs.dim
@@ -394,8 +395,7 @@ def run_kdv(params, seed, output_dir):
                        for x, u in zip(rep.profile.x, rep.profile.values)])
             arts.append(ppath)
             entry["profile_file"] = os.path.basename(ppath)
-            entry["residual"] = kdv.traveling_wave_defect(
-                rep, t_final=0.5, dt=params["dt"])
+            entry["residual"] = kdv.traveling_wave_defect(rep, dt=params["dt"])
         jpath = os.path.join(output_dir, "travelling.json")
         write_json(jpath, {"epsilon": eps, "c": params["c"], **entry})
         arts.append(jpath)
@@ -469,6 +469,8 @@ def _sweep_cell(args):
 
 
 def run_sweep(config_path, output_dir=None, max_workers=4):
+    if max_workers < 1:
+        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     raw, lines = read_config_file(config_path)
     origin = {k: f"{config_path}:{ln}" for k, ln in lines.items()}
     if "subcommand" not in raw:

@@ -162,18 +162,9 @@ def _check_nonsingular(sys: CMSSystem, q=None):
     return aq
 
 
-def _momentum(sys: CMSSystem, p):
-    return sys.p if p is None else np.asarray(p, dtype=complex)
-
-
 def _mu(sys: CMSSystem, f):
     """mu = (1/2) sum_a gtilde_a f(a.q) a from f at a checked point."""
     return 0.5 * ((sys._root_couplings[1] * f) @ sys.root_system.roots)
-
-
-def mu_vector(sys: CMSSystem, q=None):
-    """Deformation vector mu = (1/2) sum_a gtilde_a f(a.q) a."""
-    return _mu(sys, sys.potential.f(_check_nonsingular(sys, q)))
 
 
 def verify_mu_identity(sys: CMSSystem):
@@ -207,22 +198,21 @@ def _hamiltonian(sys: CMSSystem, aq, p):
     return 0.5 * (p @ p) + pot + 1j * (mu @ p) - 0.5 * (mu @ mu), mu, pot
 
 
-def hamiltonian(sys: CMSSystem, q=None, p=None):
+def hamiltonian(sys: CMSSystem):
     """Deformed Hamiltonian p^2/2 + (1/2) sum ghat^2 V + i mu.p - mu^2/2."""
-    return _hamiltonian(sys, _check_nonsingular(sys, q), _momentum(sys, p))[0]
+    return _hamiltonian(sys, _check_nonsingular(sys), sys.p)[0]
 
 
-def hamiltonian_undeformed_form(sys: CMSSystem, q=None, p=None):
+def hamiltonian_undeformed_form(sys: CMSSystem):
     """The bilinear form p^2/2 + (1/2) sum g^2 V + i mu.p (no mu^2 term).
 
     Coincides with `hamiltonian` for the rational potential, where the
     mu-identity turns the -mu^2/2 term into the coupling redefinition.
     """
-    f = sys.potential.f(_check_nonsingular(sys, q))
-    p = _momentum(sys, p)
+    f = sys.potential.f(_check_nonsingular(sys))
     mu = _mu(sys, f)
     pot = 0.5 * (sys._root_couplings[0] ** 2 * f**2).sum()
-    return 0.5 * (p @ p) + pot + 1j * (mu @ p)
+    return 0.5 * (sys.p @ sys.p) + pot + 1j * (mu @ sys.p)
 
 
 def shifted_equivalence(sys: CMSSystem):
@@ -257,11 +247,10 @@ def _flow(sys: CMSSystem, p, f, fp):
     return qdot, pdot, qddot
 
 
-def equations_of_motion(sys: CMSSystem, q=None, p=None):
+def equations_of_motion(sys: CMSSystem):
     """(qdot, pdot) of the complexified flow of `hamiltonian`."""
-    aq = _check_nonsingular(sys, q)
-    qdot, pdot, _ = _flow(sys, _momentum(sys, p), sys.potential.f(aq),
-                          sys.potential.fprime(aq))
+    aq = _check_nonsingular(sys)
+    qdot, pdot, _ = _flow(sys, sys.p, sys.potential.f(aq), sys.potential.fprime(aq))
     return qdot, pdot
 
 

@@ -20,10 +20,6 @@ class SingularConfigError(PTLabError):
 class NodeError(PTLabError):
     """Wavefunction vanishes inside the working window."""
 
-    def __init__(self, message, x=None):
-        super().__init__(message)
-        self.x = x
-
 
 class BranchError(PTLabError):
     """Fractional power argument crossed the principal-branch cut.
@@ -32,10 +28,7 @@ class BranchError(PTLabError):
     raiser has one.
     """
 
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
-        self.partial = None
+    partial = None
 
 
 class BlowUpError(PTLabError):

@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 from .errors import ConfigurationError
 
 # central stencils, (offset: coefficient); divide by dx**order
-_C1_ACC2 = {-1: -0.5, 1: 0.5}
 _C1_ACC4 = {-2: 1 / 12, -1: -2 / 3, 1: 2 / 3, 2: -1 / 12}
 _C2_ACC2 = {-1: 1.0, 0: -2.0, 1: 1.0}
 _C2_ACC4 = {-2: -1 / 12, -1: 4 / 3, 0: -5 / 2, 1: 4 / 3, 2: -1 / 12}
@@ -28,29 +27,17 @@ _F1_ACC4 = [-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4]
 _F2_ACC4 = [15 / 4, -77 / 6, 107 / 6, -13.0, 61 / 12, -5 / 6]
 
 
-def _stencil(order, acc):
-    if (order, acc) == (1, 2):
-        return _C1_ACC2
-    if (order, acc) == (1, 4):
-        return _C1_ACC4
-    if (order, acc) == (2, 2):
-        return _C2_ACC2
-    if (order, acc) == (2, 4):
-        return _C2_ACC4
-    raise ValueError(f"unsupported (order, acc) = ({order}, {acc})")
-
-
-def derivative(values, dx, order, acc=4):
-    """Differentiate grid samples; one-sided stencils at the edges."""
+def derivative(values, dx, order):
+    """First or second derivative of grid samples at 4th order; one-sided
+    stencils at the edges."""
     values = np.asarray(values)
     n = values.size
-    st = _stencil(order, acc)
+    st, fwd, sign = ((_C1_ACC4, _F1_ACC4, -1.0) if order == 1
+                     else (_C2_ACC4, _F2_ACC4, 1.0))
     width = max(abs(k) for k in st)
     out = np.zeros(n, dtype=complex)
     for k, c in st.items():
         out[width:n - width] += c * values[width + k:n - width + k]
-    fwd = _F1_ACC4 if order == 1 else _F2_ACC4
-    sign = -1.0 if order == 1 else 1.0
     for i in range(width):
         out[i] = sum(c * values[i + j] for j, c in enumerate(fwd))
         out[n - 1 - i] = sign * sum(c * values[n - 1 - i - j] for j, c in enumerate(fwd))
@@ -63,7 +50,7 @@ def schrodinger_bands(V, dx, acc=2):
     if np.iscomplexobj(V) and np.abs(V.imag).max() == 0.0:
         V = V.real
     n = V.size
-    st = _stencil(2, acc)
+    st = {2: _C2_ACC2, 4: _C2_ACC4}[acc]
     bands = np.zeros((max(st) + 1, n), dtype=np.result_type(V, float))
     bands[0] = V - st[0] / dx**2
     for d in range(1, max(st) + 1):

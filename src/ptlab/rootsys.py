@@ -6,16 +6,13 @@ realization alpha_i = e_i - e_{i+1}; B/C/D use the standard orthonormal
 realizations; G2 is embedded in the A_2 hyperplane of R^3.
 
 Matrix representations (defining representations) are normalized so that
-tr(H_i H_j) = delta_ij and tr(E_a E_{-a}) = 1.  For the non-simply-laced
-defining representations this normalization rescales the weights of the
-Cartan action; the weights actually realized by the matrices are stored
-as ``basis_roots`` (equal to the root vectors for the A-series, and to
-roots/sqrt(2) for B/C/D).
+tr(H_i H_j) = delta_ij and tr(E_a E_{-a}) = 1.  For B/C/D this
+normalization rescales the weights of the Cartan action: [H, E_a] = w_a E_a
+with w_a the root for the A-series and root/sqrt(2) for B/C/D.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,23 +58,6 @@ class RootSystem:
         idx = self.long_roots if orbit == "long" else self.short_roots
         i = next(iter(idx))
         return float(self.roots[i] @ self.roots[i])
-
-    def to_json(self):
-        return json.dumps({
-            "family": self.family,
-            "rank": self.rank,
-            "roots": self.roots.tolist(),
-            "short": sorted(self.short_roots),
-            "long": sorted(self.long_roots),
-        })
-
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        rs = build_root_system(d["family"], d["rank"])
-        if sorted(rs.short_roots) != d["short"] or not np.allclose(rs.roots, d["roots"]):
-            raise ConfigurationError("serialized root system does not match rebuild")
-        return rs
 
 
 def _positive_roots(family, rank):
@@ -200,8 +180,6 @@ class CartanWeylBasis:
     cartan: np.ndarray             # (n_cartan, d, d)
     step: np.ndarray               # (n_roots, d, d), E_a indexed like rs.roots
     negative: np.ndarray           # (n_roots,) index of -a, so step[negative] is E_-a
-    basis_roots: np.ndarray        # (n_roots, n_cartan) weights of the Cartan action
-    structure_constants: dict      # (i, j) -> eps with [E_i, E_j] = eps E_{i+j}
 
 
 def _unit(d, i, j):
@@ -291,30 +269,4 @@ def build_cartan_weyl(rs):
     pos /= np.sqrt(np.einsum("kij,kij->k", pos, pos).real)[:, None, None]
     step = np.concatenate([pos, pos.transpose(0, 2, 1)])
     negative = np.array([rs.negative_index(i) for i in range(rs.n_roots)])
-
-    # weights of the Cartan action, read off numerically
-    basis_roots = np.zeros((rs.n_roots, len(cartan)))
-    for k, e in enumerate(step):
-        flat = np.argmax(np.abs(e))
-        i0, j0 = np.unravel_index(flat, e.shape)
-        for a, h in enumerate(cartan):
-            comm = h @ e - e @ h
-            basis_roots[k, a] = (comm[i0, j0] / e[i0, j0]).real
-
-    # structure constants wherever alpha + beta is a root
-    struct = {}
-    roots = rs.roots
-    for i in range(rs.n_roots):
-        for j in range(rs.n_roots):
-            if i == j or i == negative[j]:
-                continue
-            s = roots[i] + roots[j]
-            d2 = np.abs(roots - s).sum(axis=1)
-            k = int(np.argmin(d2))
-            if d2[k] > 1e-9:
-                continue
-            comm = step[i] @ step[j] - step[j] @ step[i]
-            eps = np.trace(comm @ step[negative[k]])
-            struct[(i, j)] = complex(eps)
-    return CartanWeylBasis(cartan=cartan, step=step, negative=negative,
-                           basis_roots=basis_roots, structure_constants=struct)
+    return CartanWeylBasis(cartan=cartan, step=step, negative=negative)

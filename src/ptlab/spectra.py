@@ -52,7 +52,7 @@ def classify_spectrum(eigs, tol):
     Returns (classification, pairing).  Complex eigenvalues are paired
     greedily with their nearest conjugate partner; leftovers mean Mixed.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigurationError("tol must be positive")
     eigs = np.asarray(eigs, dtype=complex)
     complex_idx = [i for i, e in enumerate(eigs) if abs(e.imag) >= tol]
@@ -102,7 +102,7 @@ class MonomialModel:
         if self.N not in (2, 3, 4):
             raise ConfigurationError("monomial exponent must be one of {2, 3, 4} "
                                      "(larger exponents need complex contours)")
-        if self.g <= 0:
+        if not self.g > 0:
             raise ConfigurationError("coupling g must be positive")
 
     def potential(self, z):
@@ -153,8 +153,11 @@ def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
 
 @dataclass(frozen=True)
 class TruncatedFockOperator:
-    dim: int
     matrix: np.ndarray
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
 
     def eigenvalues(self):
         """All eigenvalues, sorted by modulus.
@@ -205,7 +208,7 @@ def reggeon_single_site(delta, g, dim):
     off = 1j * g * n * np.sqrt(n + 1.0)
     m = np.diag(delta * np.arange(dim, dtype=float)).astype(complex)
     m += np.diag(off, 1) + np.diag(off, -1)
-    return TruncatedFockOperator(dim=dim, matrix=m)
+    return TruncatedFockOperator(matrix=m)
 
 
 def swanson_model(delta, g, gtilde, dim):
@@ -216,33 +219,29 @@ def swanson_model(delta, g, gtilde, dim):
     s = np.sqrt((n + 1.0) * (n + 2.0))
     m = np.diag(delta * np.arange(dim, dtype=float)).astype(complex)
     m += np.diag(g * s, -2) + np.diag(gtilde * s, 2)
-    return TruncatedFockOperator(dim=dim, matrix=m)
+    return TruncatedFockOperator(matrix=m)
 
 
-def truncation_diagnostics(build, dim, k=10, ddim=20):
-    """Change of the lowest-k eigenvalues under dim -> dim + ddim."""
-    e1 = build(dim).eigenvalues()[:k]
-    e2 = build(dim + ddim).eigenvalues()[:k]
-    return np.abs(e2 - e1)
-
-
-def fock_report(op: TruncatedFockOperator, k=10, tol=1e-6, build=None, ddim=20):
-    """Lowest-k levels of `op`; with `build` (build(op.dim) being `op`), also
-    their change under op.dim -> op.dim + ddim."""
+def fock_report(op: TruncatedFockOperator, k=10, tol=1e-6, build=None):
+    """Lowest-k levels of `op`, 1 <= k <= op.dim; with `build` (build(op.dim)
+    being `op`), also their change under op.dim -> op.dim + 20."""
+    if not 1 <= k <= op.dim:
+        raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {op.dim}, got {k}")
     eigs = op.eigenvalues()[:k]
     diag = {}
     if build is not None:
-        change = np.abs(build(op.dim + ddim).eigenvalues()[:k] - eigs)
+        dims = [op.dim, op.dim + 20]
+        change = np.abs(build(dims[1]).eigenvalues()[:k] - eigs)
         diag = {"truncation_change": change.tolist(),
                 "flagged": [int(i) for i in np.nonzero(change > 1e-8)[0]],
-                "dims": [op.dim, op.dim + ddim]}
+                "dims": dims}
     return make_report(eigs, tol=tol, diagnostics=diag)
 
 
-def is_pt_symmetric_fock(matrix, tol=1e-12):
-    """Check P H* P = H with P = diag((-1)^n)."""
+def is_pt_symmetric_fock(matrix):
+    """Check P H* P = H with P = diag((-1)^n), to 1e-12."""
     P = parity_op(matrix.shape[0])
-    return bool(np.abs(P @ np.conj(matrix) @ P - matrix).max() < tol)
+    return bool(np.abs(P @ np.conj(matrix) @ P - matrix).max() < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +316,8 @@ def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     one more eigendecomposition A = V L V^+; the positivity flag reports
     whether eta's smallest eigenvalue e^min(L) stays above 1e-12.
     """
+    if restarts < 1:
+        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
     import scipy.optimize as sopt          # imported only where metrics are searched
 
     if isinstance(H, TruncatedFockOperator):

@@ -29,7 +29,7 @@ class GridWavefunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        if self.dx <= 0:
+        if not self.dx > 0:
             raise ConfigurationError("dx must be positive")
         if self.values.size < 16:
             raise ConfigurationError("need at least 16 samples")
@@ -86,7 +86,7 @@ def _check_nodeless(psi: GridWavefunction):
     bad = np.nonzero(~above[lo:hi + 1])[0]
     if bad.size:
         xb = psi.x[lo + bad[0]]
-        raise NodeError(f"wavefunction vanishes inside the working window at x = {xb:g}", x=xb)
+        raise NodeError(f"wavefunction vanishes inside the working window at x = {xb:g}")
 
 
 def superpotential_from_groundstate(psi: GridWavefunction, E_m=0.0):
@@ -96,8 +96,8 @@ def superpotential_from_groundstate(psi: GridWavefunction, E_m=0.0):
     invariant under psi -> c psi since only ratios psi'/psi enter.
     """
     _check_nodeless(psi)
-    dpsi = derivative(psi.values, psi.dx, order=1, acc=4)
-    d2psi = derivative(psi.values, psi.dx, order=2, acc=4)
+    dpsi = derivative(psi.values, psi.dx, order=1)
+    d2psi = derivative(psi.values, psi.dx, order=2)
     r = dpsi / psi.values
     W = -r
     V_minus = d2psi / psi.values
@@ -129,15 +129,13 @@ class DiscretizedHamiltonian:
         return self.eigensystem(k)[0]
 
 
-def build_partner_hamiltonians(pair: SuperPartnerPair, E_m=None, acc=2):
+def build_partner_hamiltonians(pair: SuperPartnerPair, acc=2):
     """Partner Hamiltonians -Lap + V_(-+) + E_m with Dirichlet boundaries.
 
     acc=2 gives the plain 3-point Laplacian; acc=4 is available for
     checks that need the discretization error below the target tolerance.
     """
-    if E_m is None:
-        E_m = pair.E_m
-    E_m = complex(E_m)
+    E_m = complex(pair.E_m)
     return tuple(DiscretizedHamiltonian(schrodinger_bands(V + E_m, pair.dx, acc=acc),
                                         pair.dx)
                  for V in (pair.V_minus, pair.V_plus))
@@ -156,8 +154,7 @@ def _probe_states(x):
     return probes
 
 
-def verify_intertwining(pair: SuperPartnerPair, H_minus=None, H_plus=None,
-                        conjugate=False, margin=None, acc=4):
+def verify_intertwining(pair: SuperPartnerPair, conjugate=False):
     """Interior residual of Q H_- - H_+ Q (or Qtilde H_+ - H_- Qtilde).
 
     The defect operator is applied to a fixed family of smooth probe
@@ -165,22 +162,19 @@ def verify_intertwining(pair: SuperPartnerPair, H_minus=None, H_plus=None,
     stencils do not resolve) and normalized by the action of H_- on the
     probe, so the value is grid-independent up to discretization error.
     Q and H act on the probes directly (`derivative`, `band_matvec`).
-    Boundary rows, where truncated or one-sided stencils break the
-    algebra, are excluded.  With 4th-order operators the residual
-    converges at 4th order under grid refinement.
+    The 12 boundary rows at each end, where truncated or one-sided
+    stencils break the algebra, are excluded.  The operators are 4th
+    order, and so is the convergence of the residual under grid
+    refinement.
     """
-    if H_minus is None or H_plus is None:
-        H_minus, H_plus = build_partner_hamiltonians(pair, acc=acc)
+    H_minus, H_plus = build_partner_hamiltonians(pair, acc=4)
     sign, first, second = ((-1.0, H_plus, H_minus) if conjugate
                            else (1.0, H_minus, H_plus))
 
     def charge(u):
-        return sign * derivative(u, pair.dx, order=1, acc=acc) + pair.W * u
+        return sign * derivative(u, pair.dx, order=1) + pair.W * u
 
-    n = pair.W.size
-    if margin is None:
-        margin = 3 * max(2, acc)
-    sl = slice(margin, n - margin)
+    sl = slice(12, pair.W.size - 12)
     worst = 0.0
     for u in _probe_states(pair.x):
         r = charge(band_matvec(first.bands, u)) - band_matvec(second.bands, charge(u))
@@ -201,7 +195,7 @@ def map_wavefunction(pair: SuperPartnerPair, phi: GridWavefunction):
     Acting on the generating ground state itself, Q annihilates; this is
     reported through the `annihilated` flag rather than as an error.
     """
-    qphi = derivative(phi.values, phi.dx, order=1, acc=4) + pair.W * phi.values
+    qphi = derivative(phi.values, phi.dx, order=1) + pair.W * phi.values
     mapped = GridWavefunction(x0=phi.x0, dx=phi.dx, values=qphi)
     annihilated = mapped.norm() < 1e-6 * phi.norm()
     return MappedState(wavefunction=mapped, annihilated=annihilated)
@@ -214,28 +208,29 @@ class SpectralCase(enum.Enum):
     DOUBLET = "doublet"
 
 
-def classify_case(pair: SuperPartnerPair, tol_doublet=1e-10, tol_triplet=1e-8,
-                  margin=8):
+def classify_case(pair: SuperPartnerPair):
     """Classify the isospectral pattern from the split W = w + i w_hat.
 
-    Doublet: w_hat identically zero.  Triplet(+-): the pointwise relation
-    w = (-+ w_hat' - eps_hat)/(2 w_hat) holds for the respective sign
-    (the plus sign is checked first; a constant nonzero w_hat with
-    eps_hat = 0 and w = 0 satisfies both).  Anything else is a quartet.
+    Doublet: w_hat zero to 1e-10 (relative to 1 + max |W|).  Triplet(+-):
+    the pointwise relation w = (-+ w_hat' - eps_hat)/(2 w_hat) holds to
+    1e-8 for the respective sign (the plus sign is checked first; a
+    constant nonzero w_hat with eps_hat = 0 and w = 0 satisfies both).
+    Anything else is a quartet.  The 8 samples nearest each edge are
+    left out.
     """
-    sl = slice(margin, pair.W.size - margin)
+    sl = slice(8, pair.W.size - 8)
     w, what = pair.w[sl], pair.w_hat[sl]
     scale = 1.0 + np.abs(pair.W[sl]).max()
-    if np.abs(what).max() < tol_doublet * scale:
+    if np.abs(what).max() < 1e-10 * scale:
         return SpectralCase.DOUBLET
-    if np.abs(what).min() < tol_doublet * scale:
+    if np.abs(what).min() < 1e-10 * scale:
         warnings.warn("w_hat has zeros but is not identically zero; "
                       "triplet relation undefined there - classifying as quartet")
         return SpectralCase.ISOSPECTRAL_QUARTET
-    whatp = derivative(pair.w_hat, pair.dx, order=1, acc=4).real[sl]
+    whatp = derivative(pair.w_hat, pair.dx, order=1).real[sl]
     for sign, case in ((+1.0, SpectralCase.TRIPLET_PLUS),
                        (-1.0, SpectralCase.TRIPLET_MINUS)):
         rhs = (-sign * whatp - pair.eps_hat_m) / (2.0 * what)
-        if np.abs(w - rhs).max() < tol_triplet * scale:
+        if np.abs(w - rhs).max() < 1e-8 * scale:
             return case
     return SpectralCase.ISOSPECTRAL_QUARTET

@@ -297,7 +297,7 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
             k3_ = N(v + 0.5 * dt * k2, t + 0.5 * dt)
             k4 = N(v + dt * k3_, t + dt)
         except BranchError as err:
-            raise BranchError(f"{err} at t = {t:g}", where=err.where) from None
+            raise BranchError(f"{err} at t = {t:g}") from None
         v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3_ + k4)
         t = (step + 1) * dt
         u = np.fft.ifft(np.exp(-ik3 * t) * v)
@@ -415,6 +415,7 @@ def reference_lax(sys, basis):
 
     Per-root Python loops over the step matrices; the m-vector solve builds
     L, S and Ldot once more, and the residual builds Ldot a third time.
+    A series only: there the weights of the Cartan action are the roots.
     """
     rs = sys.root_system
 
@@ -451,7 +452,7 @@ def reference_lax(sys, basis):
         b = np.zeros(rs.n_roots, dtype=complex)
         for k in range(rs.n_roots):
             c_k = 1j * ghat[k] * f[k]
-            A[k] = c_k * basis.basis_roots[k]
+            A[k] = c_k * rs.roots[k]
             b[k] = -np.trace(R0 @ basis.step[rs.negative_index(k)])
         m, *_ = np.linalg.lstsq(A, b, rcond=None)
         return m
@@ -497,7 +498,7 @@ def reference_rk4_trajectory(sys, dt, n_steps, record_every=1):
     y = np.concatenate([sys.q, sys.p]).astype(complex)
 
     def rhs(y):
-        qd, pd = equations_of_motion(sys, y[:d], y[d:])
+        qd, pd = equations_of_motion(sys.at(y[:d], y[d:]))
         return np.concatenate([qd, pd])
 
     ts, qs, ps, es = [], [], [], []
@@ -506,7 +507,7 @@ def reference_rk4_trajectory(sys, dt, n_steps, record_every=1):
         ts.append(t)
         qs.append(y[:d].copy())
         ps.append(y[d:].copy())
-        es.append(hamiltonian(sys, y[:d], y[d:]))
+        es.append(hamiltonian(sys.at(y[:d], y[d:])))
 
     try:
         record(0.0, y)

@@ -217,11 +217,11 @@ def test_exit_code_config_error(tmp_path, capsys):
 
 
 def test_exit_code_engine_error(tmp_path, capsys):
-    # G2 has no matrix representation: the Lax check must fail cleanly
+    # G2 has no closed Lax pair: refused by the rule that refuses B, C and D
     code = run_main(tmp_path, "cms", "--family", "G2", "--rank", "2",
                     "--check", "lax", "--samples", "2")
     assert code == cli.EXIT_ENGINE
-    assert "CapabilityError" in capsys.readouterr().err
+    assert "CapabilityError: no closed Lax pair for family G2" in capsys.readouterr().err
 
 
 def test_lax_check_refused_off_the_A_series(tmp_path, capsys):
@@ -243,11 +243,23 @@ def test_lax_check_refused_off_the_A_series(tmp_path, capsys):
     ["spectra", "--model", "swanson", "--dim", "24", "--tol", "0"],
     ["susy", "--n", "10"],
     ["susy", "--window", "8:-8"],
+    ["spectra", "--model", "reggeon", "--dim", "40", "--k", "0"],
+    ["spectra", "--model", "reggeon", "--dim", "40", "--k", "50"],
+    ["spectra", "--model", "swanson", "--dim", "24", "--metric", "true",
+     "--metric-restarts", "0"],
+    # NaN where a positive number is required
+    ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200", "--tol", "nan"],
+    ["spectra", "--model", "monomial", "--g", "nan"],
+    ["kdv", "--model", "fring", "--dt", "nan"],
+    ["kdv", "--model", "fring", "--L-domain", "nan"],
+    ["kdv", "--model", "fring", "--c", "nan"],
+    ["susy", "--window", "nan:8"],
 ])
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
-    # k must satisfy 1 <= k < n - 1 on every grid engine; other bad values
-    # (step size, record spacing, sample and grid counts, tolerance,
-    # window) are config errors too
+    # k must satisfy 1 <= k < n - 1 on every grid engine and 1 <= k <= dim
+    # on the Fock engines; other bad values (step size, record spacing,
+    # sample, grid and restart counts, tolerance, window, NaN) are config
+    # errors too
     assert run_main(tmp_path, *argv) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -363,3 +375,13 @@ def test_main_sweep_exit_code(tmp_path, capsys):
     code = cli.main(["sweep", cfg, "--output-dir", str(tmp_path / "sw")])
     assert code == cli.EXIT_PARTIAL
     assert "failed" in capsys.readouterr().err
+
+
+def test_sweep_refuses_bad_worker_count(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.cfg",
+                "subcommand=spectra\nmodel=swanson\ndim=24,32\n")
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", cfg, "--output-dir", str(out), "--max-workers", "0"])
+    assert code == cli.EXIT_CONFIG
+    assert "max_workers" in capsys.readouterr().err
+    assert not out.exists()           # refused before any cell ran

@@ -71,7 +71,7 @@ def test_singular_configuration_rejected():
     sys = make("A", 2)
     q = np.array([1.0, 1.0, 0.0])      # on the e_1 - e_2 hyperplane
     with pytest.raises(SingularConfigError):
-        cms.hamiltonian(sys, q, np.zeros(3))
+        cms.hamiltonian(sys.at(q, np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +149,15 @@ def test_equations_of_motion_match_hamiltonian_gradient():
     rng = np.random.default_rng(13)
     sys = make("A", 2)
     q, p = random_state(rng, sys.root_system, sys.potential)
-    qd, pd = cms.equations_of_motion(sys, q, p)
+    qd, pd = cms.equations_of_motion(sys.at(q, p))
     h = 1e-6
     for i in range(3):
         dq = np.zeros(3)
         dq[i] = h
-        dHdq = (cms.hamiltonian(sys, q + dq, p) - cms.hamiltonian(sys, q - dq, p)) / (2 * h)
-        dHdp = (cms.hamiltonian(sys, q, p + dq) - cms.hamiltonian(sys, q, p - dq)) / (2 * h)
+        dHdq = (cms.hamiltonian(sys.at(q + dq, p))
+                - cms.hamiltonian(sys.at(q - dq, p))) / (2 * h)
+        dHdp = (cms.hamiltonian(sys.at(q, p + dq))
+                - cms.hamiltonian(sys.at(q, p - dq))) / (2 * h)
         assert qd[i] == pytest.approx(dHdp, abs=1e-6)
         assert pd[i] == pytest.approx(-dHdq, abs=1e-6)
 
@@ -171,12 +173,12 @@ def test_equations_of_motion_match_reference(family, rank, potential):
         q, p = random_state(rng, sys.root_system, sys.potential)
         q = q + 0.05j * rng.normal(size=q.size)
         p = p + 0.3j * rng.normal(size=p.size)
-        got = cms.equations_of_motion(sys, q, p)
+        got = cms.equations_of_motion(sys.at(q, p))
         ref = reference_equations_of_motion(sys, q, p)
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-13 * (1.0 + np.abs(b).max())
     with pytest.raises(SingularConfigError):
-        cms.equations_of_motion(sys, np.zeros(sys.dim), p)
+        cms.equations_of_motion(sys.at(np.zeros(sys.dim), p))
 
 
 def test_trajectory_conserves_energy():

@@ -254,7 +254,7 @@ def test_galilean_exact_for_classical_kdv():
 def test_soliton_profile_and_speed_check():
     rep = kdv.traveling_wave(1, 1.0)
     assert rep.exists
-    defect = kdv.traveling_wave_defect(rep, t_final=0.5, dt=1e-3)
+    defect = kdv.traveling_wave_defect(rep, dt=1e-3)
     assert defect < 1e-6
 
 

@@ -193,17 +193,18 @@ def test_swanson_broken_phase_never_stabilizes():
     # diagnostic reports.
     assert abs(bilinear_levels(0.5, 1.0, 1.0, 1)[0].imag) > 0.5
     build = lambda d: spectra.swanson_model(0.5, 1.0, 1.0, d)
-    change = spectra.truncation_diagnostics(build, 60, k=6, ddim=20)
-    assert change.min() > 1e-3
+    rep = spectra.fock_report(build(60), k=6, build=build)
+    assert min(rep.diagnostics["truncation_change"]) > 1e-3
 
 
 def test_truncation_diagnostics_flags_unstable_levels():
     build = lambda d: spectra.reggeon_single_site(1.0, 0.3, d)
-    rep = spectra.fock_report(build(60), k=10, build=build, ddim=20)
+    rep = spectra.fock_report(build(60), k=10, build=build)
     assert rep.diagnostics["dims"] == [60, 80]
     change = np.array(rep.diagnostics["truncation_change"])
-    # the report reuses its own dim-60 levels: bitwise the separate diagnostic
-    assert np.array_equal(change, spectra.truncation_diagnostics(build, 60, k=10, ddim=20))
+    # the report reuses its own dim-60 levels: bitwise the change of two solves
+    assert np.array_equal(change, np.abs(build(80).eigenvalues()[:10]
+                                         - build(60).eigenvalues()[:10]))
     # the low end of the spectrum is already stable, the top is not
     assert change[0] < 1e-8
     assert change.max() > 1e-3
