@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, SingularConfigError
+from .errors import CapabilityError, ConfigurationError, SingularConfigError, require_finite
 from .rootsys import CartanWeylBasis, RootSystem
 
 SINGULAR_GUARD = 1e-6
@@ -69,6 +69,10 @@ class OrbitCouplings:
     g_long: float | None = None
     gtilde_short: float = 0.0
     gtilde_long: float | None = None
+
+    def __post_init__(self):
+        # a NaN force never trips the solver's step-size stop
+        require_finite(**{k: v for k, v in vars(self).items() if v is not None})
 
     def g(self, orbit):
         if orbit == "long" and self.g_long is not None:
@@ -275,9 +279,9 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
     run with `completed=False`; the records up to the last accepted step
     are kept and `error` names the time they reach.
     """
-    if not dt > 0 or n_steps < 0 or record_every < 1:
+    if not 0 < dt < np.inf or n_steps < 0 or record_every < 1:
         raise ConfigurationError(
-            f"need dt > 0, n_steps >= 0 and record_every >= 1, got dt={dt}, "
+            f"need finite dt > 0, n_steps >= 0 and record_every >= 1, got dt={dt}, "
             f"n_steps={n_steps}, record_every={record_every}")
     from scipy.integrate import DOP853     # imported only where trajectories run
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all engines."""
+"""Exception hierarchy shared by all engines, and the finiteness check
+they share."""
+
+import cmath
 
 
 class PTLabError(Exception):
@@ -39,3 +42,11 @@ class BlowUpError(PTLabError):
         super().__init__(message)
         self.t_last = t_last
         self.partial = None
+
+
+def require_finite(**params):
+    """Raise ConfigurationError naming each parameter that is NaN or infinite."""
+    bad = [f"{name}={value}" for name, value in params.items()
+           if not cmath.isfinite(value)]
+    if bad:
+        raise ConfigurationError(f"parameters must be finite, got {', '.join(bad)}")

@@ -14,9 +14,12 @@ dispersion from the deformed Hamiltonian density, giving
 Both reduce to ordinary KdV at eps = 1.  Spatial derivatives are
 spectral: u, u_x, u_xx and u_xxx come together from one batched inverse
 FFT of (ik)^m u_hat, m = 0..3, and each flow's right-hand side is a
-pointwise formula in those four arrays.  Time stepping is RK4, with a
-global integrating factor for the stiff linear dispersion where the flow
-has it; every RK4 stage costs one batched inverse and one forward FFT.
+pointwise formula in those four arrays.  Time stepping is RK4; every
+stage costs one batched inverse and one forward FFT.  Where the flow has
+the stiff linear dispersion -u_xxx (bender at every eps, fring at
+eps = 1), a global integrating factor carries it exactly, and each stage
+transforms only u and u_x (m = 0, 1) for the nonlinear remainder;
+otherwise each stage transforms all four rows.
 Fractional powers of (i u_x) use the principal branch, and evolution
 aborts with BranchError when the base crosses the cut for non-integer
 eps.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowUpError, BranchError, ConfigurationError
+from .errors import BlowUpError, BranchError, ConfigurationError, require_finite
 
 _BLOWUP_FACTOR = 1e6
 _ORDERS = np.arange(4)[:, None]    # derivative orders of one batched transform
@@ -87,7 +90,8 @@ class KdVField:
 def _ipow(base, p, where):
     """Principal-branch power of (i u_x)-type bases with cut detection."""
     if float(p) == int(p):
-        return base ** int(p)
+        # numpy gives base ** 1 the same bits, but by its slow general path
+        return base if p == 1 else base ** int(p)
     neg = (base.real < 0) & (np.abs(base.imag) < 1e-13 * (1 + np.abs(base.real)))
     if np.any(neg):
         raise BranchError(f"fractional power base of the {where} touched the "
@@ -96,29 +100,48 @@ def _ipow(base, p, where):
 
 
 def _derivatives(u_hat, ik_powers):
-    """Rows u, u_x, u_xx, u_xxx from one batched inverse transform."""
+    """Rows (ik)^m u_hat transformed back: u, u_x, ... for m = 0, 1, ..."""
     return np.fft.ifft(ik_powers * u_hat)
+
+
+def _bender_nonlinear(u, ux, eps):
+    """i u (i u_x)^eps: the bender flow less its linear dispersion -u_xxx."""
+    return 1j * u * _ipow(1j * ux, eps, "bender nonlinearity")
 
 
 def _bender_terms(d, eps):
     u, ux, _, uxxx = d
-    return 1j * u * _ipow(1j * ux, eps, "bender nonlinearity") - uxxx
+    return _bender_nonlinear(u, ux, eps) - uxxx
+
+
+def _fring_nonlinear(u, ux, eps):
+    """-u u_x: the fring flow at eps = 1 less its linear dispersion -u_xxx.
+
+    Only at eps = 1 is there a linear dispersion to split off (see
+    `_has_linear_dispersion`); `eps` keeps the bender signature.
+    """
+    return -u * ux
 
 
 def _fring_terms(d, eps):
     u, ux, uxx, uxxx = d
-    base = 1j * ux
-    t1 = -u * ux
-    t3 = -eps * _ipow(base, eps - 1.0, "fring dispersion term") * uxxx
+    t1 = _fring_nonlinear(u, ux, eps)
     if eps == 1:
         # no curvature term; its factor (i u_x)^-1 is infinite where u_x = 0
-        return t1 + t3
-    t2 = -1j * eps * (eps - 1.0) * _ipow(base, eps - 2.0, "fring curvature term") * uxx**2
+        return t1 - uxxx
+    base = 1j * ux
+    # one principal-branch power serves both terms: (i u_x)^(eps-1) is
+    # (i u_x)^(eps-2) (i u_x) on the principal branch
+    p = _ipow(base, eps - 2.0, "fring dispersion and curvature terms")
+    t2 = -1j * eps * (eps - 1.0) * p * uxx**2
+    t3 = -eps * (p * base) * uxxx
     return t1 + t2 + t3
 
 
-# pointwise right-hand sides on the rows of `_derivatives`
+# pointwise right-hand sides on the rows u, u_x, u_xx, u_xxx of `_derivatives`
 _TERMS = {Flow.BENDER: _bender_terms, Flow.FRING: _fring_terms}
+# what the integrating factor leaves of each flow, on the rows u, u_x
+_NONLINEAR = {Flow.BENDER: _bender_nonlinear, Flow.FRING: _fring_nonlinear}
 
 
 def rhs_bender(field: KdVField, eps):
@@ -217,21 +240,23 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
            monitor_stride=10):
     """RK4 evolution of one deformed flow, integrating factor where it applies.
 
-    Each RK4 stage gets u, u_x, u_xx and u_xxx from one batched inverse
-    FFT of (ik)^m u_hat, evaluates the flow's pointwise formula and makes
-    one forward FFT; the four derivatives of the state after a step also
-    serve the first stage of the next step.
+    Each RK4 stage takes one batched inverse FFT of rows (ik)^m u_hat,
+    evaluates a pointwise formula on them and makes one forward FFT; the
+    rows of the state after a step also serve the first stage of the
+    next step.
 
     When the flow carries the linear dispersion -u_xxx, that part is
     integrated exactly in Fourier space and RK4 handles the remaining
-    terms.  The frame is global: the stepped variable is
+    nonlinear part, which reads only the rows u and u_x (m = 0, 1).
+    The frame is global: the stepped variable is
     v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 tau) is computed
     afresh from the stage time tau (its inverse is its conjugate), so
     rounding in the factor does not accumulate from step to step.  Flows
     whose dispersion is itself nonlinear are stepped by plain RK4, with
-    no factor at all.
+    no factor at all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).
 
-    Raises BlowUpError (with the last completed time) when the solution
+    Raises ConfigurationError for a NaN or infinite eps, t_final or dt,
+    BlowUpError (with the last completed time) when the solution
     magnitude grows by more than 1e6 over the initial one, and
     BranchError when a fractional power meets its cut.  Either error
     carries the evolution up to the last good step as `exc.partial`, an
@@ -239,14 +264,16 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     """
     if isinstance(flow, str):
         flow = Flow(flow)
+    require_finite(eps=eps, t_final=t_final, dt=dt)
     if dt == 0 or not t_final / dt > 0:
         raise ConfigurationError("t_final and dt must be nonzero with the same sign")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError("t_final must be an integer number of steps")
-    terms = _TERMS[flow]
-    ik_powers = field._ik_powers
+    terms, nonlinear = _TERMS[flow], _NONLINEAR[flow]
     use_if = _has_linear_dispersion(flow, eps)
+    # the factor carries -u_xxx, so its stages need only the rows u, u_x
+    ik_powers = field._ik_powers[:2] if use_if else field._ik_powers
     # u_t = -u_xxx evolves modes as exp(+i k^3 t)
     ik3 = 1j * field.k ** 3
     u0_scale = np.abs(field.values).max() + 1e-300
@@ -260,11 +287,9 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
 
     def N(d, e):
         """Stepped right-hand side in the frame whose factor is e."""
-        g = terms(d, eps)
         if e is None:
-            return np.fft.fft(g)
-        # the -u_xxx part lives in the factor
-        return np.conj(e) * np.fft.fft(g + d[3])
+            return np.fft.fft(terms(d, eps))
+        return np.conj(e) * np.fft.fft(nonlinear(*d, eps))
 
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
     mon = ChargeMonitor()
@@ -389,6 +414,7 @@ def traveling_wave(eps, c, L=40.0, n=512):
     negative for all 0 < phi < 3c, so no real decaying profile exists;
     this is reported rather than raised.
     """
+    require_finite(eps=eps, c=c)
     if eps == 1:
         prof = soliton(c, L, n)
         return TravelingWaveReport(eps=eps, c=c, exists=True,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 from .gridops import eigenpairs_near, schrodinger_bands
 
 
@@ -102,8 +102,11 @@ class MonomialModel:
         if self.N not in (2, 3, 4):
             raise ConfigurationError("monomial exponent must be one of {2, 3, 4} "
                                      "(larger exponents need complex contours)")
+        require_finite(g=self.g, half_width=self.half_width)
         if not self.g > 0:
             raise ConfigurationError("coupling g must be positive")
+        if not self.half_width > 0:
+            raise ConfigurationError("half_width must be positive")
 
     def potential(self, z):
         return -self.g * (1j * z) ** self.N
@@ -202,6 +205,7 @@ def reggeon_single_site(delta, g, dim):
     The nonzero couplings are <n|H|n+1> = <n+1|H|n> = i g n sqrt(n+1),
     i.e. a complex-symmetric tridiagonal matrix.
     """
+    require_finite(delta=delta, g=g)
     if dim < 4:
         raise ConfigurationError("dim must be at least 4")
     n = np.arange(dim - 1, dtype=float)
@@ -213,6 +217,7 @@ def reggeon_single_site(delta, g, dim):
 
 def swanson_model(delta, g, gtilde, dim):
     """Bilinear model Delta a+a + g a+a+ + gtilde a a (pentadiagonal)."""
+    require_finite(delta=delta, g=g, gtilde=gtilde)
     if dim < 4:
         raise ConfigurationError("dim must be at least 4")
     n = np.arange(dim - 2, dtype=float)

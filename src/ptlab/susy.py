@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NodeError
+from .errors import ConfigurationError, NodeError, require_finite
 from .gridops import band_matvec, derivative, eigenpairs_near, schrodinger_bands
 
 NODE_REL_TOL = 1e-12
@@ -33,6 +33,8 @@ class GridWavefunction:
             raise ConfigurationError("dx must be positive")
         if self.values.size < 16:
             raise ConfigurationError("need at least 16 samples")
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError("wavefunction samples must be finite")
 
     @property
     def n(self):
@@ -95,6 +97,7 @@ def superpotential_from_groundstate(psi: GridWavefunction, E_m=0.0):
     Derivatives use 4th-order central stencils; the construction is
     invariant under psi -> c psi since only ratios psi'/psi enter.
     """
+    require_finite(E_m=E_m)
     _check_nodeless(psi)
     dpsi = derivative(psi.values, psi.dx, order=1)
     d2psi = derivative(psi.values, psi.dx, order=2)

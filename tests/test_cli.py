@@ -141,14 +141,18 @@ def test_cms_trajectory_near_collision_keeps_charges(tmp_path, seed):
         assert np.abs(ik - ik[0]).max() <= 1e-6 * abs(ik[0]), k
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def run_python_dash_m(tmp_path, *argv, timeout=120):
+    """`python -m ptlab argv` in tmp_path; TimeoutExpired past `timeout` s."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "ptlab", "cms", "--family", "A",
-                           "--rank", "2", "--steps", "5"],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-m", "ptlab", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    done = run_python_dash_m(tmp_path, "cms", "--family", "A", "--rank", "2",
+                             "--steps", "5")
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert "Warning" not in done.stderr
     assert (tmp_path / "trajectory.csv").exists()
@@ -232,6 +236,9 @@ def test_lax_check_refused_off_the_A_series(tmp_path, capsys):
     assert "CapabilityError" in capsys.readouterr().err
 
 
+_NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "10"]
+
+
 @pytest.mark.parametrize("argv", [
     ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "10"],
     ["spectra", "--model", "monomial", "--N", "2", "--n-grid", "100", "--k", "0"],
@@ -254,12 +261,34 @@ def test_lax_check_refused_off_the_A_series(tmp_path, capsys):
     ["kdv", "--model", "fring", "--L-domain", "nan"],
     ["kdv", "--model", "fring", "--c", "nan"],
     ["susy", "--window", "nan:8"],
+    # NaN or infinity where a finite number is required
+    _NAN_FORCE,
+    ["cms", "--family", "A", "--rank", "2", "--gtilde", "inf", "--steps", "10"],
+    ["cms", "--family", "B", "--rank", "2", "--g-long", "inf", "--steps", "10"],
+    ["cms", "--family", "A", "--rank", "2", "--dt", "inf", "--steps", "10"],
+    ["kdv", "--model", "fring", "--t-end", "inf"],
+    ["kdv", "--model", "fring", "--epsilon", "nan"],
+    ["kdv", "--model", "fring", "--epsilon", "inf"],
+    ["kdv", "--model", "fring", "--epsilon", "nan", "--mode", "travelling"],
+    ["spectra", "--model", "monomial", "--half-width", "0"],
+    ["spectra", "--model", "monomial", "--half-width", "nan"],
+    ["spectra", "--model", "reggeon", "--delta", "nan"],
+    ["spectra", "--model", "swanson", "--g", "nan"],
+    ["susy", "--profile", "gaussian-complex", "--alpha", "nan"],
+    ["susy", "--E-m", "nan"],
 ])
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
     # k must satisfy 1 <= k < n - 1 on every grid engine and 1 <= k <= dim
     # on the Fock engines; other bad values (step size, record spacing,
-    # sample, grid and restart counts, tolerance, window, NaN) are config
-    # errors too
+    # sample, grid and restart counts, tolerance, window, NaN, infinity)
+    # are config errors too
+    if argv is _NAN_FORCE:
+        # a NaN force once kept the trajectory solver stepping for good:
+        # a regression must fail here, not hang the suite
+        done = run_python_dash_m(tmp_path, *argv, timeout=60)
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert "config error" in done.stderr
+        return
     assert run_main(tmp_path, *argv) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 

@@ -50,6 +50,17 @@ def test_flows_coincide_with_kdv_at_eps_one():
     assert np.abs(kdv.rhs_fring(f, 1.0) - classic).max() < 1e-10
 
 
+@pytest.mark.parametrize("flow", list(kdv.Flow), ids=lambda f: f.value)
+def test_rhs_is_stepped_nonlinear_part_less_uxxx_at_eps_one(flow):
+    # the integrating-factor stages step only the nonlinear part; the
+    # factor carries -u_xxx
+    f = kdv.KdVField.from_callable(
+        lambda x: 0.7 * np.cos(x) + 0.2 * np.sin(2 * x), 2 * np.pi, 96)
+    full = kdv._RHS[flow](f, 1.0)
+    split = kdv._NONLINEAR[flow](f.values, f.deriv(1), 1.0) - f.deriv(3)
+    assert np.abs(full - split).max() <= 1e-14 * np.abs(full).max()
+
+
 def test_constant_state_is_stationary_at_eps_one():
     # u_x = 0 everywhere: the fring curvature factor (i u_x)^-1 would be
     # infinite, but at eps = 1 the term is absent
@@ -168,7 +179,11 @@ def offset_pt_field(L=20.0, n=64):
     (offset_cosine_field, "fring", 3.0, 0.05, 1e-3),
     (offset_pt_field, "bender", 2.0, 0.05, 5e-4),
     (lambda: kdv.soliton(1.0, 40.0, 256), "fring", 1.0, -0.1, -1e-3),
-], ids=["fring1", "bender1", "fring3", "bender2", "fring1-backward"])
+    # one fractional power serves both fring terms
+    (offset_cosine_field, "fring", 2.5, 0.02, 1e-4),
+    (offset_cosine_field, "bender", 1.5, 0.02, 1e-4),
+], ids=["fring1", "bender1", "fring3", "bender2", "fring1-backward", "fring2.5",
+        "bender1.5"])
 def test_stepper_matches_reference(make, flow, eps, t_final, dt):
     f = make()
     ev = kdv.evolve(f, flow, eps, t_final, dt, n_snapshots=6, monitor_stride=5)
@@ -204,6 +219,28 @@ def test_transform_count_per_step(monkeypatch, eps):
     kdv.evolve(offset_cosine_field(), "fring", eps, n_steps * 1e-3, 1e-3,
                n_snapshots=2, monitor_stride=10 * n_steps)
     assert len(calls) <= 9 * n_steps
+
+
+@pytest.mark.parametrize("flow, eps, rows", [
+    ("fring", 1.0, 2), ("bender", 1.0, 2), ("bender", 2.0, 2), ("fring", 3.0, 4),
+], ids=["fring1", "bender1", "bender2", "fring3-plain"])
+def test_integrating_factor_stage_rows(monkeypatch, flow, eps, rows):
+    # the integrating factor carries -u_xxx, so its stages transform only
+    # u and u_x; plain RK4 needs u, u_x, u_xx and u_xxx
+    widths = []
+    ifft = np.fft.ifft
+
+    def recording(a, *args, **kwargs):
+        widths.append(1 if np.ndim(a) == 1 else len(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recording)
+    kdv.evolve(offset_pt_field(), flow, eps, 5e-3, 5e-4, n_snapshots=2,
+               monitor_stride=100)
+    assert max(widths) == rows
+    # the start, then 3 stages and the state after each of 10 steps (the
+    # charge monitor transforms one row)
+    assert widths.count(rows) == 1 + 4 * 10
 
 
 def test_snapshots_and_monitor_cadence():
