@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _stepping
 from .errors import CapabilityError, ConfigurationError, SingularConfigError, require_finite
 from .rootsys import CartanWeylBasis, RootSystem
 
@@ -283,11 +284,9 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
         raise ConfigurationError(
             f"need finite dt > 0, n_steps >= 0 and record_every >= 1, got dt={dt}, "
             f"n_steps={n_steps}, record_every={record_every}")
-    from scipy.integrate import DOP853     # imported only where trajectories run
-
     d = sys.dim
-    stops = [(k + 1) * dt for k in range(n_steps)
-             if (k + 1) % record_every == 0 or k == n_steps - 1]
+    stops = [0.0] + [(k + 1) * dt for k in range(n_steps)
+                     if (k + 1) % record_every == 0 or k == n_steps - 1]
 
     def rhs(t, y):
         aq = _check_nonsingular(sys, y[:d])
@@ -295,10 +294,8 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
                                              sys.potential.fprime(aq))])
 
     ts, qs, ps, es = [], [], [], []
-    t_done = 0.0                            # the records are complete up to here
 
     def record(t, y):
-        nonlocal t_done
         q = y[:d]
         aq = _check_nonsingular(sys, q)
         p = y[d:] - 1j * _mu(sys, sys.potential.f(aq))
@@ -306,31 +303,18 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
         qs.append(q.copy())
         ps.append(p)
         es.append(_hamiltonian(sys, aq, p)[0])
-        t_done = t
 
-    error = None
     try:
         mu = _mu(sys, sys.potential.f(_check_nonsingular(sys)))
-        y = np.concatenate([sys.q, sys.p + 1j * mu])
-        record(0.0, y)
-        solver = DOP853(rhs, 0.0, y, n_steps * dt, rtol=TRAJECTORY_TOL,
-                        atol=TRAJECTORY_TOL)
-        j = 0
-        while j < len(stops):
-            message = solver.step()
-            if solver.status == "failed":
-                error = message
-                break
-            dense = solver.dense_output() if stops[j] < solver.t else None
-            while j < len(stops) and stops[j] <= solver.t:
-                record(stops[j], solver.y if stops[j] == solver.t else dense(stops[j]))
-                j += 1
-            t_done = solver.t
     except SingularConfigError as exc:
-        error = str(exc)
+        stop = _stepping.Stop(0.0, None, exc)
+    else:
+        stop = _stepping.integrate(rhs, np.concatenate([sys.q, sys.p + 1j * mu]), stops,
+                                   TRAJECTORY_TOL, TRAJECTORY_TOL, record, None)
     return Trajectory(np.array(ts), np.array(qs), np.array(ps), np.array(es),
-                      completed=error is None,
-                      error=None if error is None else f"stopped at t = {t_done}: {error}")
+                      completed=stop.error is None,
+                      error=None if stop.error is None
+                      else f"stopped at t = {stop.t}: {stop.error}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ dispersion from the deformed Hamiltonian density, giving
 Both reduce to ordinary KdV at eps = 1.  Spatial derivatives are
 spectral: u, u_x, u_xx and u_xxx come together from one batched inverse
 FFT of (ik)^m u_hat, m = 0..3, and each flow's right-hand side is a
-pointwise formula in those four arrays.  Time stepping is RK4; every
-stage costs one batched inverse and one forward FFT.  Where the flow has
-the stiff linear dispersion -u_xxx (bender at every eps, fring at
-eps = 1), a global integrating factor carries it exactly, and each stage
-transforms only u and u_x (m = 0, 1) for the nonlinear remainder;
-otherwise each stage transforms all four rows.
+pointwise formula in those four arrays.  Time stepping is the adaptive
+DOP853 pair shared with the CMS engine (`_stepping`), on the Fourier
+coefficients; every right-hand-side evaluation costs one batched inverse
+and one forward FFT.  Where the flow has the stiff linear dispersion
+-u_xxx (bender at every eps, fring at eps = 1), a global integrating
+factor carries it exactly (Kassam & Trefethen, SIAM J. Sci. Comput. 26,
+2005), and each evaluation transforms only u and u_x (m = 0, 1) for the
+nonlinear remainder; otherwise each transforms all four rows.
 Fractional powers of (i u_x) use the principal branch, and evolution
 aborts with BranchError when the base crosses the cut for non-integer
 eps.
@@ -34,9 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _stepping
 from .errors import BlowUpError, BranchError, ConfigurationError, require_finite
 
 _BLOWUP_FACTOR = 1e6
+# local error tolerance of `evolve`, relative and, in units of max |u(0)|,
+# absolute; chosen by measurement (CHANGES.md)
+EVOLVE_TOL = 1e-13
 _ORDERS = np.arange(4)[:, None]    # derivative orders of one batched transform
 
 
@@ -169,16 +175,18 @@ def momentum(field: KdVField):
     return complex(np.mean(field.values ** 2) * field.L / 2.0)
 
 
+def _energy(u, ux, L, eps):
+    dens = -(u ** 3) / 6.0 - _ipow(1j * ux, eps + 1.0, "energy density") / (eps + 1.0)
+    return complex(np.mean(dens) * L)
+
+
 def energy(field: KdVField, eps):
     """Integral of the flow-generating density -u^3/6 - (i u_x)^(eps+1)/(eps+1).
 
     Both flows conserve their Hamiltonian; for the `fring` flow this
     density generates the evolution exactly, u_t = d/dx (dH/du).
     """
-    u = field.values
-    ux = field.deriv(1)
-    dens = -(u ** 3) / 6.0 - _ipow(1j * ux, eps + 1.0, "energy density") / (eps + 1.0)
-    return complex(np.mean(dens) * field.L)
+    return _energy(field.values, field.deriv(1), field.L, eps)
 
 
 def energy_reality_check(field: KdVField, eps):
@@ -199,8 +207,9 @@ class ChargeMonitor:
     P: list = field(default_factory=list)
     E: list = field(default_factory=list)
 
-    def record(self, t, f: KdVField, eps):
-        e = energy(f, eps)          # may raise BranchError: record nothing then
+    def record(self, t, f: KdVField, ux, eps):
+        """Charges of the field f, whose derivative u_x the caller holds."""
+        e = _energy(f.values, ux, f.L, eps)   # may raise BranchError: record nothing then
         self.times.append(float(t))
         self.M.append(mass(f))
         self.P.append(momentum(f))
@@ -238,28 +247,36 @@ def _has_linear_dispersion(flow, eps):
 
 def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
            monitor_stride=10):
-    """RK4 evolution of one deformed flow, integrating factor where it applies.
+    """Adaptive DOP853 evolution of one deformed flow on the Fourier modes.
 
-    Each RK4 stage takes one batched inverse FFT of rows (ik)^m u_hat,
-    evaluates a pointwise formula on them and makes one forward FFT; the
-    rows of the state after a step also serve the first stage of the
-    next step.
+    The solver steps the Fourier coefficients and keeps each step's local
+    error within EVOLVE_TOL, relative and, in units of max |u(0)|,
+    absolute: coefficient errors of at most d move u by at most d, as u
+    is the mean of its Fourier modes.  `dt` sets the record grid:
+    snapshots (n_snapshots of them, evenly spaced, and the end) and
+    charge records (every monitor_stride * dt, and the end) fall on
+    multiples of dt, read from the solver's dense output; the solver
+    picks its own steps.
 
-    When the flow carries the linear dispersion -u_xxx, that part is
-    integrated exactly in Fourier space and RK4 handles the remaining
-    nonlinear part, which reads only the rows u and u_x (m = 0, 1).
-    The frame is global: the stepped variable is
-    v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 tau) is computed
-    afresh from the stage time tau (its inverse is its conjugate), so
-    rounding in the factor does not accumulate from step to step.  Flows
-    whose dispersion is itself nonlinear are stepped by plain RK4, with
-    no factor at all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).
+    Every right-hand-side evaluation takes one batched inverse FFT of
+    rows (ik)^m u_hat, evaluates a pointwise formula on them and makes
+    one forward FFT.  When the flow carries the linear dispersion -u_xxx,
+    that part is integrated exactly in Fourier space and the solver
+    steps the remaining nonlinear part, which reads only the rows u and
+    u_x (m = 0, 1).  The frame is global: the stepped variable is
+    v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 t) is computed
+    afresh at each evaluation time (its inverse is its conjugate).  Flows
+    whose dispersion is itself nonlinear are stepped with no factor at
+    all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).  Each record
+    takes u and u_x from one batched inverse FFT, and the charge monitor
+    reuses that u_x.
 
-    Raises ConfigurationError for a NaN or infinite eps, t_final or dt,
-    BlowUpError (with the last completed time) when the solution
-    magnitude grows by more than 1e6 over the initial one, and
-    BranchError when a fractional power meets its cut.  Either error
-    carries the evolution up to the last good step as `exc.partial`, an
+    Raises ConfigurationError for a NaN or infinite eps, t_final or dt.
+    Raises BlowUpError, with the last accepted time as `t_last`, when
+    the step size collapses or the L2 norm of u grows by more than 1e6
+    over the initial one (a NaN counts as growth), and BranchError,
+    naming that time, when a fractional power meets its cut.  Either
+    error carries the evolution up to that time as `exc.partial`, an
     Evolution with `completed` False.
     """
     if isinstance(flow, str):
@@ -270,77 +287,81 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError("t_final must be an integer number of steps")
-    terms, nonlinear = _TERMS[flow], _NONLINEAR[flow]
+    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    snap_at = {k * dt for k in (*range(snap_every, n_steps, snap_every), n_steps)}
+    mon_at = {k * dt for k in (*range(0, n_steps, monitor_stride), n_steps)}
+    stops = sorted(snap_at | mon_at, key=abs)
+
     use_if = _has_linear_dispersion(flow, eps)
-    # the factor carries -u_xxx, so its stages need only the rows u, u_x
-    ik_powers = field._ik_powers[:2] if use_if else field._ik_powers
+    uux = field._ik_powers[:2]          # the rows u, u_x
     # u_t = -u_xxx evolves modes as exp(+i k^3 t)
     ik3 = 1j * field.k ** 3
-    u0_scale = np.abs(field.values).max() + 1e-300
 
-    def factor(tau):
-        """exp(i k^3 tau), taking v to u_hat; None when there is no factor."""
-        return np.exp(ik3 * tau) if use_if else None
+    def factor(t):
+        """exp(i k^3 t), taking v to u_hat; 1 when there is no factor."""
+        return np.exp(ik3 * t) if use_if else 1.0
 
-    def derivs(v, e):
-        return _derivatives(v if e is None else e * v, ik_powers)
+    if use_if:
+        nonlinear = _NONLINEAR[flow]
 
-    def N(d, e):
-        """Stepped right-hand side in the frame whose factor is e."""
-        if e is None:
-            return np.fft.fft(terms(d, eps))
-        return np.conj(e) * np.fft.fft(nonlinear(*d, eps))
+        def rhs(t, v):
+            e = factor(t)
+            return np.conj(e) * np.fft.fft(nonlinear(*_derivatives(e * v, uux), eps))
+    else:
+        terms = _TERMS[flow]
 
-    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+        def rhs(t, v):
+            return np.fft.fft(terms(_derivatives(v, field._ik_powers), eps))
+
+    v0 = np.fft.fft(field.values)
+    # |e| = 1, so the L2 norm of v is that of u_hat in either frame
+    norm_bound = _BLOWUP_FACTOR * np.linalg.norm(v0)
+
+    def check(t, v):
+        # a NaN fails the comparison too
+        if not np.linalg.norm(v) <= norm_bound:
+            raise BlowUpError(f"the L2 norm of u grew more than {_BLOWUP_FACTOR:g}-fold "
+                              f"by t = {t:g}")
+
     mon = ChargeMonitor()
-    snaps = [field]
+    snaps = [field]                     # the start is its own snapshot
     times = [0.0]
-    t = 0.0
-    try:
-        mon.record(0.0, field, eps)
-        v = np.fft.fft(field.values)
-        e = factor(0.0)
-        d = derivs(v, e)
-        for step in range(n_steps):
-            t_next = (step + 1) * dt
-            e_half, e_next = factor(t + 0.5 * dt), factor(t_next)
-            try:
-                k1 = N(d, e)
-                k2 = N(derivs(v + 0.5 * dt * k1, e_half), e_half)
-                k3_ = N(derivs(v + 0.5 * dt * k2, e_half), e_half)
-                k4 = N(derivs(v + dt * k3_, e_next), e_next)
-            except BranchError as err:
-                raise BranchError(f"{err} at t = {t:g}") from None
-            v = v + dt / 6.0 * (k1 + 2 * k2 + 2 * k3_ + k4)
-            d_next = derivs(v, e_next)
-            u = d_next[0]
-            # a NaN fails the comparison too
-            if not np.abs(u).max() <= _BLOWUP_FACTOR * u0_scale:
-                raise BlowUpError(f"solution blew up at t = {t_next:g}", t_last=t)
-            t, e, d = t_next, e_next, d_next
-            record = (step + 1) % monitor_stride == 0 or step == n_steps - 1
-            snap = (step + 1) % snap_every == 0 or step == n_steps - 1
-            if record or snap:
-                cur = field.with_values(u.copy())
-            if record:
-                mon.record(t, cur, eps)
-            if snap:
-                snaps.append(cur)
-                times.append(t)
-    except (BranchError, BlowUpError) as err:
-        # close the record at the last good state (d holds its rows once t > 0)
-        if times[-1] != t:
-            snaps.append(field.with_values(d[0].copy()))
-            times.append(t)
-        if not mon.times or mon.times[-1] != t:
-            with contextlib.suppress(BranchError):
-                mon.record(t, snaps[-1], eps)
-        err.partial = Evolution(times=np.asarray(times), snapshots=snaps,
-                                monitor=mon, completed=False)
-        raise
 
-    return Evolution(times=np.asarray(times), snapshots=snaps,
-                     monitor=mon, completed=True)
+    def record(t, v):
+        u, ux = _derivatives(factor(t) * v, uux)
+        cur = field.with_values(u)
+        if t in mon_at:
+            mon.record(t, cur, ux, eps)
+        if t in snap_at:
+            snaps.append(cur)
+            times.append(t)
+
+    # a blowing-up state overflows in rejected stages before the step size
+    # collapses; that collapse is reported below as BlowUpError
+    with np.errstate(over="ignore", invalid="ignore"):
+        stop = _stepping.integrate(rhs, v0, stops, EVOLVE_TOL,
+                                   EVOLVE_TOL * (np.abs(field.values).max() or 1.0),
+                                   record, check)
+    if stop.error is None:
+        return Evolution(times=np.asarray(times), snapshots=snaps,
+                         monitor=mon, completed=True)
+
+    # close the record at the last accepted state
+    t = float(stop.t)
+    u, ux = _derivatives(factor(t) * stop.y, uux)
+    if times[-1] != t:
+        snaps.append(field.with_values(u))
+        times.append(t)
+    if not mon.times or mon.times[-1] != t:
+        with contextlib.suppress(BranchError):
+            mon.record(t, snaps[-1], ux, eps)
+    if isinstance(stop.error, BranchError):
+        err = BranchError(f"{stop.error} at t = {t:g}")
+    else:
+        err = BlowUpError(f"solution blew up after t = {t:g}: {stop.error}", t_last=t)
+    err.partial = Evolution(times=np.asarray(times), snapshots=snaps,
+                            monitor=mon, completed=False)
+    raise err
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +411,27 @@ def galilean_defect(field: KdVField, flow, eps, v, t_final, dt):
 # ---------------------------------------------------------------------------
 
 def soliton(c, L, n):
-    """KdV one-soliton 3 c sech^2(sqrt(c) (x - L/2) / 2), periodized."""
-    if not c > 0:
-        raise ConfigurationError("soliton speed c must be positive")
+    """KdV one-soliton 3 c sech^2(sqrt(c) (x - L/2) / 2), periodized.
+
+    The field is the sum of the soliton's images at x - L/2 + m L, up to
+    the first |m| whose image stays below 1e-17 of the peak, so it is
+    smooth across x = 0 where a single sampled copy would put a kink.
+    """
+    if not c > 0 or not 0 < L < np.inf:
+        raise ConfigurationError("need soliton speed c > 0 and a finite period L > 0")
     x = np.linspace(0.0, L, n, endpoint=False)
-    return KdVField(L=L, values=3.0 * c / np.cosh(0.5 * np.sqrt(c) * (x - L / 2.0)) ** 2)
+    a = 0.5 * np.sqrt(c)
+    # image m is at most 4 exp(-2 a (|m| - 1/2) L) of the peak: ln(4e17) = 40.5
+    m_max = int(np.ceil(40.5 / (2.0 * a * L) + 0.5))
+    if m_max > 1000:
+        raise ConfigurationError(f"soliton of speed c = {c} is too wide for the period "
+                                 f"L = {L}: its images need {m_max} periods to decay")
+    values = np.zeros(n)
+    for m in range(-m_max, m_max + 1):
+        # sech^2 z = 4 q / (1 + q)^2 with q = exp(-2 |z|), which cannot overflow
+        q = np.exp(-2.0 * np.abs(a * (x - L / 2.0 + m * L)))
+        values += 12.0 * c * q / (1.0 + q) ** 2
+    return KdVField(L=L, values=values)
 
 
 @dataclass

@@ -248,12 +248,13 @@ def _reference_rhs(kdv, flow, field, eps):
 
 def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
                          monitor_stride=10):
-    """Integrating-factor RK4 as ptlab's KdV stepper first did it.
+    """Fixed-step integrating-factor RK4 as ptlab's KdV stepper first did it.
 
-    Same global frame v = exp(-i k^3 t) u_hat and the same stage times as
-    `kdv.evolve`, but each stage rebuilds a `KdVField`, takes every
-    derivative by its own forward and inverse FFT and recomputes both
-    factor exponentials.  Returns a `kdv.Evolution`.
+    The global frame v = exp(-i k^3 t) u_hat of `kdv.evolve`, and the
+    same record times at the same dt, but every step is an RK4 step of
+    size dt; each stage rebuilds a `KdVField`, takes every derivative by
+    its own forward and inverse FFT and recomputes both factor
+    exponentials.  Returns a `kdv.Evolution`.
     """
     from ptlab import kdv
     from ptlab.errors import BlowUpError, BranchError, ConfigurationError
@@ -274,7 +275,7 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
 
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
     mon = kdv.ChargeMonitor()
-    mon.record(0.0, field, eps)
+    mon.record(0.0, field, field.deriv(1), eps)
     snaps = [field]
     times = [0.0]
 
@@ -305,7 +306,7 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
             raise BlowUpError(f"solution blew up at t = {t:g}", t_last=step * dt)
         cur = field.with_values(u)
         if (step + 1) % monitor_stride == 0 or step == n_steps - 1:
-            mon.record(t, cur, eps)
+            mon.record(t, cur, cur.deriv(1), eps)
         if (step + 1) % snap_every == 0 or step == n_steps - 1:
             snaps.append(cur)
             times.append(t)

@@ -141,13 +141,28 @@ def test_cms_trajectory_near_collision_keeps_charges(tmp_path, seed):
         assert np.abs(ik - ik[0]).max() <= 1e-6 * abs(ik[0]), k
 
 
-def run_python_dash_m(tmp_path, *argv, timeout=120):
-    """`python -m ptlab argv` in tmp_path; TimeoutExpired past `timeout` s."""
+def run_python(tmp_path, *argv, timeout=120):
+    """`python argv` in tmp_path with ptlab importable; TimeoutExpired past
+    `timeout` s."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "ptlab", *argv], cwd=tmp_path,
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def run_python_dash_m(tmp_path, *argv, timeout=120):
+    """`python -m ptlab argv` in tmp_path; TimeoutExpired past `timeout` s."""
+    return run_python(tmp_path, "-m", "ptlab", *argv, timeout=timeout)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # importing scipy.integrate costs about 0.3 s and 19 MiB; only runs
+    # that step (CMS trajectories, KdV evolutions) should pay for it
+    done = run_python(tmp_path, "-c", "import sys, ptlab.cli; "
+                      "print('scipy.integrate' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

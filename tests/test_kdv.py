@@ -1,5 +1,7 @@
 """Deformed KdV flows: identities, conservation, symmetries, waves."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,22 +175,28 @@ def offset_pt_field(L=20.0, n=64):
         + 0.05j * np.sin(4 * np.pi * x / L), L, n)
 
 
-@pytest.mark.parametrize("make, flow, eps, t_final, dt", [
-    (lambda: kdv.soliton(1.0, 40.0, 256), "fring", 1.0, 0.2, 1e-3),
-    (lambda: kdv.soliton(1.0, 40.0, 256), "bender", 1.0, 0.2, 1e-3),
-    (offset_cosine_field, "fring", 3.0, 0.05, 1e-3),
-    (offset_pt_field, "bender", 2.0, 0.05, 5e-4),
-    (lambda: kdv.soliton(1.0, 40.0, 256), "fring", 1.0, -0.1, -1e-3),
+def soliton_field():
+    return kdv.soliton(1.0, 40.0, 256)
+
+
+@pytest.mark.parametrize("make, flow, eps, t_final, dt, speed", [
+    (soliton_field, "fring", 1.0, 0.2, 1e-3, 1.0),
+    (soliton_field, "bender", 1.0, 0.2, 1e-3, 1.0),
+    (offset_cosine_field, "fring", 3.0, 0.05, 1e-3, None),
+    (offset_pt_field, "bender", 2.0, 0.05, 5e-4, None),
+    (soliton_field, "fring", 1.0, -0.1, -1e-3, 1.0),
     # one fractional power serves both fring terms
-    (offset_cosine_field, "fring", 2.5, 0.02, 1e-4),
-    (offset_cosine_field, "bender", 1.5, 0.02, 1e-4),
+    (offset_cosine_field, "fring", 2.5, 0.02, 1e-4, None),
+    (offset_cosine_field, "bender", 1.5, 0.02, 1e-4, None),
 ], ids=["fring1", "bender1", "fring3", "bender2", "fring1-backward", "fring2.5",
         "bender1.5"])
-def test_stepper_matches_reference(make, flow, eps, t_final, dt):
+def test_stepper_matches_reference(make, flow, eps, t_final, dt, speed):
+    # RK4 at dt/4 is within 3e-14 of RK4 at dt/32 on every row; a power
+    # of two keeps its record times bit-equal to multiples of dt
     f = make()
     ev = kdv.evolve(f, flow, eps, t_final, dt, n_snapshots=6, monitor_stride=5)
-    ref = reference_kdv_evolve(f, flow, eps, t_final, dt, n_snapshots=6,
-                               monitor_stride=5)
+    ref = reference_kdv_evolve(f, flow, eps, t_final, dt / 4, n_snapshots=6,
+                               monitor_stride=20)
     assert np.array_equal(ev.times, ref.times)
     assert ev.monitor.times == ref.monitor.times
     for a, b in zip(ev.snapshots, ref.snapshots, strict=True):
@@ -198,13 +206,33 @@ def test_stepper_matches_reference(make, flow, eps, t_final, dt):
         charge = abs(getattr(ref.monitor, name)[0])
         assert charge > 0.1
         assert abs(drift[name] - ref_drift[name]) <= 1e-12 * charge
+    if speed is not None:
+        # the KdV soliton travels rigidly at its speed
+        for t, snap in zip(ev.times, ev.snapshots):
+            exact = np.fft.ifft(np.exp(-1j * f.k * speed * t) * np.fft.fft(f.values))
+            assert np.abs(snap.values - exact).max() <= 1e-12
+
+
+def count_evaluations(monkeypatch, flow, eps):
+    """Count calls of the pointwise formula `evolve` steps for (flow, eps)."""
+    flow = kdv.Flow(flow)
+    table = kdv._NONLINEAR if kdv._has_linear_dispersion(flow, eps) else kdv._TERMS
+    calls, formula = [], table[flow]
+
+    def counted(*args):
+        calls.append(1)
+        return formula(*args)
+
+    monkeypatch.setitem(table, flow, counted)
+    return calls
 
 
 @pytest.mark.parametrize("eps", [1.0, 3.0], ids=["integrating-factor", "plain"])
-def test_transform_count_per_step(monkeypatch, eps):
-    # 4 RK4 stages x (one batched inverse + one forward transform) make 8
-    # a step; the bound leaves one more for the state and the monitor.
-    # One transform pair per derivative took 33-41 a step.
+def test_transform_count_per_evaluation(monkeypatch, eps):
+    # every right-hand-side evaluation makes one batched inverse and one
+    # forward transform; the start adds a forward transform, and each of
+    # the two records (the start and the end) one inverse.  One transform
+    # pair per derivative took 4-5 pairs an evaluation.
     calls = []
 
     def counting(transform):
@@ -215,18 +243,21 @@ def test_transform_count_per_step(monkeypatch, eps):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    evals = count_evaluations(monkeypatch, "fring", eps)
     n_steps = 20
     kdv.evolve(offset_cosine_field(), "fring", eps, n_steps * 1e-3, 1e-3,
                n_snapshots=2, monitor_stride=10 * n_steps)
-    assert len(calls) <= 9 * n_steps
+    assert len(evals) > 0
+    assert calls.count("fft") == len(evals) + 1
+    assert calls.count("ifft") == len(evals) + 2
 
 
 @pytest.mark.parametrize("flow, eps, rows", [
     ("fring", 1.0, 2), ("bender", 1.0, 2), ("bender", 2.0, 2), ("fring", 3.0, 4),
 ], ids=["fring1", "bender1", "bender2", "fring3-plain"])
 def test_integrating_factor_stage_rows(monkeypatch, flow, eps, rows):
-    # the integrating factor carries -u_xxx, so its stages transform only
-    # u and u_x; plain RK4 needs u, u_x, u_xx and u_xxx
+    # the integrating factor carries -u_xxx, so its evaluations transform
+    # only u and u_x; the plain frame needs u, u_x, u_xx and u_xxx
     widths = []
     ifft = np.fft.ifft
 
@@ -235,12 +266,12 @@ def test_integrating_factor_stage_rows(monkeypatch, flow, eps, rows):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording)
+    evals = count_evaluations(monkeypatch, flow, eps)
     kdv.evolve(offset_pt_field(), flow, eps, 5e-3, 5e-4, n_snapshots=2,
                monitor_stride=100)
-    assert max(widths) == rows
-    # the start, then 3 stages and the state after each of 10 steps (the
-    # charge monitor transforms one row)
-    assert widths.count(rows) == 1 + 4 * 10
+    # one transform of `rows` rows per evaluation; the two records (the
+    # start and the end) transform u and u_x, which the monitor reuses
+    assert Counter(widths) == Counter({rows: len(evals)}) + Counter({2: 2})
 
 
 def test_snapshots_and_monitor_cadence():
@@ -298,6 +329,9 @@ def test_soliton_profile_and_speed_check():
 def test_soliton_validation():
     with pytest.raises(ConfigurationError):
         kdv.soliton(-1.0, 40.0, 128)
+    # a profile far wider than the period has no images that decay
+    with pytest.raises(ConfigurationError):
+        kdv.soliton(1e-12, 40.0, 128)
 
 
 def test_no_traveling_wave_for_eps_three():
