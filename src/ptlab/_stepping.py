@@ -31,7 +31,7 @@ class Stop:
     error: PTLabError | str | None
 
 
-def integrate(rhs, y0, stops, rtol, atol, record, check):
+def integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
     """Step y' = rhs(t, y) from y(stops[0]) = y0 through the times `stops`.
 
     `stops` run monotonically, forward or backward, from the start time;
@@ -39,7 +39,8 @@ def integrate(rhs, y0, stops, rtol, atol, record, check):
     output of the accepted step that covers t, or that step's own end
     state when it lands on t.  check(t, y), when not None, sees the state
     after each accepted step before any of that step's records.  Each
-    step keeps its local error within rtol |y| + atol, componentwise.
+    step keeps its local error within rtol |y| + atol, componentwise, and
+    spans at most max_step (np.inf for no bound).
 
     An engine error (PTLabError) raised by rhs, record or check, a failed
     step, or a step size that collapses ends the run; none of them is
@@ -51,7 +52,8 @@ def integrate(rhs, y0, stops, rtol, atol, record, check):
     t_done, y_done = stops[0], y0
     try:
         record(stops[0], y0)
-        solver = DOP853(rhs, stops[0], y0, stops[-1], rtol=rtol, atol=atol)
+        solver = DOP853(rhs, stops[0], y0, stops[-1], rtol=rtol, atol=atol,
+                        max_step=max_step)
         j = 1
         while j < len(stops):
             message = solver.step()

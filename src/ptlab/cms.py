@@ -310,7 +310,7 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
         stop = _stepping.Stop(0.0, None, exc)
     else:
         stop = _stepping.integrate(rhs, np.concatenate([sys.q, sys.p + 1j * mu]), stops,
-                                   TRAJECTORY_TOL, TRAJECTORY_TOL, record, None)
+                                   TRAJECTORY_TOL, TRAJECTORY_TOL, np.inf, record, None)
     return Trajectory(np.array(ts), np.array(qs), np.array(ps), np.array(es),
                       completed=stop.error is None,
                       error=None if stop.error is None

@@ -21,7 +21,10 @@ and one forward FFT.  Where the flow has the stiff linear dispersion
 -u_xxx (bender at every eps, fring at eps = 1), a global integrating
 factor carries it exactly (Kassam & Trefethen, SIAM J. Sci. Comput. 26,
 2005), and each evaluation transforms only u and u_x (m = 0, 1) for the
-nonlinear remainder; otherwise each transforms all four rows.
+nonlinear remainder; otherwise each transforms all four rows.  The
+stepped part obeys Orszag's 2/3 rule: it reads and changes only the
+modes |k| < (2/3) k_N, so no product wraps around the Nyquist mode k_N,
+and the modes above the cut keep their values in the stepped frame.
 Fractional powers of (i u_x) use the principal branch, and evolution
 aborts with BranchError when the base crosses the cut for non-integer
 eps.
@@ -252,7 +255,9 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     The solver steps the Fourier coefficients and keeps each step's local
     error within EVOLVE_TOL, relative and, in units of max |u(0)|,
     absolute: coefficient errors of at most d move u by at most d, as u
-    is the mean of its Fourier modes.  `dt` sets the record grid:
+    is the mean of its Fourier modes.  These are local bounds: over a run
+    the errors of its steps add up, which matters for fields with content
+    up to the cut (a kink, or too few points).  `dt` sets the record grid:
     snapshots (n_snapshots of them, evenly spaced, and the end) and
     charge records (every monitor_stride * dt, and the end) fall on
     multiples of dt, read from the solver's dense output; the solver
@@ -267,9 +272,14 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 t) is computed
     afresh at each evaluation time (its inverse is its conjugate).  Flows
     whose dispersion is itself nonlinear are stepped with no factor at
-    all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).  Each record
-    takes u and u_x from one batched inverse FFT, and the charge monitor
-    reuses that u_x.
+    all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).  In either frame
+    the rows and the result keep only the modes |k| < (2/3) k_N (the 2/3
+    rule), so the modes above stay as they are in the stepped variable;
+    in the integrating-factor frame each step is also bounded so that
+    the fastest phase the factor leaves, 3 k_top^2 (2 pi / L) at the top
+    kept mode k_top, turns by at most 5 a step.  Each record takes u and
+    u_x from one batched inverse FFT, and the charge monitor reuses that
+    u_x.
 
     Raises ConfigurationError for a NaN or infinite eps, t_final or dt.
     Raises BlowUpError, with the last accepted time as `t_last`, when
@@ -296,6 +306,10 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     uux = field._ik_powers[:2]          # the rows u, u_x
     # u_t = -u_xxx evolves modes as exp(+i k^3 t)
     ik3 = 1j * field.k ** 3
+    # Orszag's 2/3 rule: the stepped part reads and writes only |k| < (2/3) k_N,
+    # that is |j| < n/3 for the mode index j in FFT order
+    j = np.arange(field.n)
+    keep = 3 * np.minimum(j, field.n - j) < field.n
 
     def factor(t):
         """exp(i k^3 t), taking v to u_hat; 1 when there is no factor."""
@@ -305,13 +319,24 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
         nonlinear = _NONLINEAR[flow]
 
         def rhs(t, v):
-            e = factor(t)
+            e = keep * factor(t)
             return np.conj(e) * np.fft.fft(nonlinear(*_derivatives(e * v, uux), eps))
+
+        # The factor leaves the phase exp(3i k k1 k2 t) on each product of
+        # modes k1 + k2 = k; with k1 the first mode 2 pi / L and k near the
+        # top kept mode k_top, it turns at 3 k_top^2 (2 pi / L).  A step
+        # turning it by more than 5 (DOP853 is stable on the imaginary axis
+        # up to 5.8) lets rounding in the top modes grow.
+        k_top = np.abs(field.k[keep]).max()
+        max_step = 5.0 / (3.0 * k_top ** 2 * (2.0 * np.pi / field.L))
     else:
         terms = _TERMS[flow]
+        rows = keep * field._ik_powers
 
         def rhs(t, v):
-            return np.fft.fft(terms(_derivatives(v, field._ik_powers), eps))
+            return keep * np.fft.fft(terms(_derivatives(v, rows), eps))
+
+        max_step = np.inf
 
     v0 = np.fft.fft(field.values)
     # |e| = 1, so the L2 norm of v is that of u_hat in either frame
@@ -341,7 +366,7 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     with np.errstate(over="ignore", invalid="ignore"):
         stop = _stepping.integrate(rhs, v0, stops, EVOLVE_TOL,
                                    EVOLVE_TOL * (np.abs(field.values).max() or 1.0),
-                                   record, check)
+                                   max_step, record, check)
     if stop.error is None:
         return Evolution(times=np.asarray(times), snapshots=snaps,
                          monitor=mon, completed=True)
@@ -411,27 +436,11 @@ def galilean_defect(field: KdVField, flow, eps, v, t_final, dt):
 # ---------------------------------------------------------------------------
 
 def soliton(c, L, n):
-    """KdV one-soliton 3 c sech^2(sqrt(c) (x - L/2) / 2), periodized.
-
-    The field is the sum of the soliton's images at x - L/2 + m L, up to
-    the first |m| whose image stays below 1e-17 of the peak, so it is
-    smooth across x = 0 where a single sampled copy would put a kink.
-    """
-    if not c > 0 or not 0 < L < np.inf:
-        raise ConfigurationError("need soliton speed c > 0 and a finite period L > 0")
+    """KdV one-soliton 3 c sech^2(sqrt(c) (x - L/2) / 2), periodized."""
+    if not c > 0:
+        raise ConfigurationError("soliton speed c must be positive")
     x = np.linspace(0.0, L, n, endpoint=False)
-    a = 0.5 * np.sqrt(c)
-    # image m is at most 4 exp(-2 a (|m| - 1/2) L) of the peak: ln(4e17) = 40.5
-    m_max = int(np.ceil(40.5 / (2.0 * a * L) + 0.5))
-    if m_max > 1000:
-        raise ConfigurationError(f"soliton of speed c = {c} is too wide for the period "
-                                 f"L = {L}: its images need {m_max} periods to decay")
-    values = np.zeros(n)
-    for m in range(-m_max, m_max + 1):
-        # sech^2 z = 4 q / (1 + q)^2 with q = exp(-2 |z|), which cannot overflow
-        q = np.exp(-2.0 * np.abs(a * (x - L / 2.0 + m * L)))
-        values += 12.0 * c * q / (1.0 + q) ** 2
-    return KdVField(L=L, values=values)
+    return KdVField(L=L, values=3.0 * c / np.cosh(0.5 * np.sqrt(c) * (x - L / 2.0)) ** 2)
 
 
 @dataclass

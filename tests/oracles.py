@@ -250,11 +250,12 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
                          monitor_stride=10):
     """Fixed-step integrating-factor RK4 as ptlab's KdV stepper first did it.
 
-    The global frame v = exp(-i k^3 t) u_hat of `kdv.evolve`, and the
-    same record times at the same dt, but every step is an RK4 step of
-    size dt; each stage rebuilds a `KdVField`, takes every derivative by
-    its own forward and inverse FFT and recomputes both factor
-    exponentials.  Returns a `kdv.Evolution`.
+    The global frame v = exp(-i k^3 t) u_hat of `kdv.evolve`, its 2/3
+    rule (each stage sees and changes only the modes |k| < (2/3) k_N,
+    |k| L / 2 pi < n / 3), and the same record times at the same dt, but
+    every step is an RK4 step of size dt; each stage rebuilds a
+    `KdVField`, takes every derivative by its own forward and inverse FFT
+    and recomputes both factor exponentials.  Returns a `kdv.Evolution`.
     """
     from ptlab import kdv
     from ptlab.errors import BlowUpError, BranchError, ConfigurationError
@@ -267,6 +268,7 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError("t_final must be an integer number of steps")
     k = field.k
+    resolved = np.rint(np.abs(k) * field.L / (2 * np.pi)) < field.n / 3.0
     use_if = kdv._has_linear_dispersion(flow, eps)
     # u_t = -u_xxx evolves modes as exp(+i k^3 t); the frame variable is
     # v = exp(-i k^3 t) u_hat
@@ -284,12 +286,12 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
 
     def N(vhat, tau):
         """Stepped RHS in the (possibly moving) integrating-factor frame."""
-        u = np.fft.ifft(np.exp(-ik3 * tau) * vhat)
+        u = np.fft.ifft(np.where(resolved, np.exp(-ik3 * tau) * vhat, 0.0))
         f = field.with_values(u)
         g = _reference_rhs(kdv, flow, f, eps)
         if use_if:
             g = g + f.deriv(3)     # the -u_xxx part lives in the factor
-        return np.exp(ik3 * tau) * np.fft.fft(g)
+        return np.where(resolved, np.exp(ik3 * tau) * np.fft.fft(g), 0.0)
 
     for step in range(n_steps):
         try:

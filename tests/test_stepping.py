@@ -14,10 +14,10 @@ def rotation(t, y):
     return 1j * y
 
 
-def run(rhs, stops, check=None):
+def run(rhs, stops, check=None, max_step=np.inf):
     """(Stop, [(t, y)] records) of one run from y(0) = 1."""
     seen = []
-    stop = _stepping.integrate(rhs, np.array([1.0 + 0j]), stops, 1e-12, 1e-12,
+    stop = _stepping.integrate(rhs, np.array([1.0 + 0j]), stops, 1e-12, 1e-12, max_step,
                                lambda t, y: seen.append((t, y.copy())), check)
     return stop, seen
 
@@ -74,3 +74,12 @@ def test_step_size_collapse_ends_the_run():
     assert isinstance(stop.error, str) and "step size" in stop.error
     assert 0.0 < stop.t <= 1.05
     assert [t for t, _ in seen] == [t for t in STOPS if t <= stop.t]
+
+
+def test_max_step_bounds_every_step():
+    accepted = [0.0]
+    stop, seen = run(rotation, STOPS, lambda t, y: accepted.append(t), max_step=0.05)
+    assert stop.error is None and len(seen) == len(STOPS)
+    # unbounded, the solver covers t = 3 in 17 steps
+    assert len(accepted) - 1 >= 60
+    assert max(np.diff(accepted)) <= 0.05 * (1 + 1e-12)
