@@ -259,6 +259,7 @@ def run_spectra(params, seed, output_dir):
         doc["metric"] = {"residual": res.residual,
                          "converged": res.converged,
                          "positive": res.positive,
+                         "condition": res.condition,
                          "coefficients": list(res.coefficients)}
     path = os.path.join(output_dir, "spectrum.json")
     write_json(path, doc)

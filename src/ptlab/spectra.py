@@ -278,6 +278,7 @@ class MetricResult:
     residual: float
     converged: bool
     positive: bool
+    condition: float         # eta's condition number e^(max L - min L)
 
 
 def _metric_residual_and_grad(coeffs, H, basis):
@@ -318,8 +319,11 @@ def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     analytic gradient, both from one eigendecomposition of the generator
     per evaluation (see `_metric_residual_and_grad`).
     Returns the best eta = exp(A) = V e^L V^+ over `restarts` starts, from
-    one more eigendecomposition A = V L V^+; the positivity flag reports
-    whether eta's smallest eigenvalue e^min(L) stays above 1e-12.
+    one more eigendecomposition A = V L V^+.  eta = e^A is positive
+    definite for every Hermitian A, so the `positive` flag claims a
+    usable metric instead: the search converged and eta's condition
+    number e^(max L - min L) stays below 1/eps of float64, so that
+    eta^-1 and inner products in eta carry some digits.
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
@@ -352,10 +356,12 @@ def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     resid, coeffs = best
     lam, V = sla.eigh(sum(c * B for c, B in zip(coeffs, basis)))
     eta = (V * np.exp(lam)) @ V.conj().T
-    positive = bool(np.exp(lam.min()) > 1e-12)
+    with np.errstate(over="ignore"):
+        condition = float(np.exp(lam.max() - lam.min()))
     converged = bool(resid < 1e-8 * (1.0 + scale))
+    positive = converged and bool(condition < 1.0 / np.finfo(float).eps)
     return MetricResult(eta=eta, coefficients=coeffs, residual=resid,
-                        converged=converged, positive=positive)
+                        converged=converged, positive=positive, condition=condition)
 
 
 def similarity_spectrum_check(H, eta):

@@ -13,7 +13,8 @@ generator) for the eigendecomposition one, and the original CMS
 equations of motion (coupling arrays rebuilt per call) and Lax pair
 (per-root loops over the step matrices) for the cached and stacked
 ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
-(q, qdot).
+(q, qdot), and the stepping loop over scipy's `DOP853` solver object
+for the one with its own tableau and controller.
 """
 
 from __future__ import annotations
@@ -527,3 +528,40 @@ def reference_rk4_trajectory(sys, dt, n_steps, record_every=1):
                           np.array(es), completed=False, error=str(exc))
     return Trajectory(np.array(ts), np.array(qs), np.array(ps),
                       np.array(es), completed=True)
+
+
+def reference_dop853_integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
+    """ptlab's first shared stepping loop, over scipy's DOP853 solver.
+
+    Same contract as `ptlab._stepping.integrate`, except that scipy's
+    constructor evaluates rhs once even when there is only one stop.
+    """
+    from scipy.integrate import DOP853
+
+    from ptlab._stepping import Stop
+    from ptlab.errors import PTLabError
+
+    t_done, y_done = stops[0], y0
+    try:
+        record(stops[0], y0)
+        solver = DOP853(rhs, stops[0], y0, stops[-1], rtol=rtol, atol=atol,
+                        max_step=max_step)
+        j = 1
+        while j < len(stops):
+            message = solver.step()
+            if solver.status == "failed":
+                return Stop(t_done, y_done, message)
+            t, y = solver.t, solver.y
+            if check is not None:
+                check(t, y)
+            # a stop strictly inside the step needs the interpolant
+            dense = solver.dense_output() if solver.direction * (t - stops[j]) > 0 else None
+            while j < len(stops) and solver.direction * (t - stops[j]) >= 0:
+                y_j = y if stops[j] == t else dense(stops[j])
+                record(stops[j], y_j)
+                t_done, y_done = stops[j], y_j
+                j += 1
+            t_done, y_done = t, y
+    except PTLabError as exc:
+        return Stop(t_done, y_done, exc)
+    return Stop(t_done, y_done, None)

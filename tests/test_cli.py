@@ -87,6 +87,16 @@ def test_spectra_swanson_run(tmp_path):
     assert "spectrum.json" in names
 
 
+def test_spectra_metric_reports_condition(tmp_path):
+    code = run_main(tmp_path, "spectra", "--model", "swanson", "--delta", "2",
+                    "--g", "0.3", "--gtilde", "0.2", "--dim", "24", "--metric", "true",
+                    "--metric-restarts", "1")
+    assert code == cli.EXIT_OK
+    metric = json.loads((tmp_path / "spectrum.json").read_text())["metric"]
+    assert metric["converged"] and metric["positive"]
+    assert 1.0 < metric["condition"] < 1.0 / np.finfo(float).eps
+
+
 def test_susy_run_writes_all_artifacts(tmp_path):
     code = run_main(tmp_path, "susy", "--n", "400", "--window=-6:6")
     assert code == cli.EXIT_OK
@@ -157,12 +167,15 @@ def run_python_dash_m(tmp_path, *argv, timeout=120):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # importing scipy.integrate costs about 0.3 s and 19 MiB; only runs
-    # that step (CMS trajectories, KdV evolutions) should pay for it
-    done = run_python(tmp_path, "-c", "import sys, ptlab.cli; "
-                      "print('scipy.integrate' in sys.modules)")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    # importing scipy.integrate costs about 0.2-0.3 s; the stepping loop
+    # carries its own DOP853, so not even the runs that step load it
+    for argv in ([], ["kdv", "--model", "fring", "--t-end", "0.01"],
+                 ["cms", "--family", "A", "--rank", "2", "--steps", "5"]):
+        done = run_python(tmp_path, "-c", "import sys; from ptlab import cli; "
+                          "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                          "print(code, 'scipy.integrate' in sys.modules)", *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False", argv
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

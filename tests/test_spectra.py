@@ -318,6 +318,22 @@ def test_metric_search_full_ansatz_and_similarity():
     assert np.abs(transformed - transformed.T.conj()).max() < 1e-6
 
 
+def test_metric_condition_is_etas():
+    # the scan-small Swanson searches: condition numbers from 10 to 7.6e3
+    for g, dim in [(0.3, 24), (0.5, 40)]:
+        res = spectra.metric_search(spectra.swanson_model(2.0, g, 0.2, dim), seed=7)
+        assert res.condition == pytest.approx(np.linalg.cond(res.eta), rel=1e-8)
+        assert res.condition > 5.0 and res.positive
+
+
+def test_unconverged_metric_search_claims_no_metric():
+    # the CLI's reggeon default: the ansatz cannot Hermitize it (residual
+    # about 9e3), though its eta = e^A is positive definite and well conditioned
+    res = spectra.metric_search(spectra.reggeon_single_site(1.0, 1.0, 80), seed=0)
+    assert not res.converged and res.condition < 10.0
+    assert not res.positive
+
+
 def test_metric_ansatz_validation():
     with pytest.raises(ConfigurationError):
         spectra.metric_ansatz_basis(10, 0)
