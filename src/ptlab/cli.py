@@ -260,6 +260,8 @@ def run_spectra(params, seed, output_dir):
                          "converged": res.converged,
                          "positive": res.positive,
                          "condition": res.condition,
+                         "nfev": res.nfev,
+                         "stop": res.stop,
                          "coefficients": list(res.coefficients)}
     path = os.path.join(output_dir, "spectrum.json")
     write_json(path, doc)

@@ -279,45 +279,113 @@ class MetricResult:
     converged: bool
     positive: bool
     condition: float         # eta's condition number e^(max L - min L)
+    nfev: int                # objective evaluations over all starts
+    stop: str                # how the best start ended: "floor", "stall" or "cap"
 
 
-def _metric_residual_and_grad(coeffs, H, basis):
-    """Squared residual |G - G^+|_F^2 of G = e^A H e^-A and its gradient.
+# Levenberg-Marquardt evaluations allowed per start
+METRIC_MAX_NFEV = 100
 
-    A = sum c_k B_k is Hermitian, so one eigendecomposition A = V L V^+
-    serves both: in the eigenbasis G' = V^+ G V has entries
-    e^(l_i - l_j) H'_ij, and the Frobenius norm is unitarily invariant.
-    The derivative along B_k is dG' = [Psi o B'_k, G'] with the
+
+def _metric_normal_equations(coeffs, H, basis):
+    """r^2 = |R|_F^2 for R = G - G^+, G = e^A H e^-A, with J^T J and J^T r.
+
+    J is the Jacobian of vec(R) in the coefficients of A = sum c_k B_k.
+    A is Hermitian, so one eigendecomposition A = V L V^+ serves all
+    three: in the eigenbasis G' = V^+ G V has entries e^(l_i - l_j) H'_ij,
+    and the derivative along B_k is dG'_k = [Psi o B'_k, G'] with the
     Daleckii-Krein divided differences Psi_ij = expm1(l_i - l_j)/(l_i - l_j)
-    (Higham, Functions of Matrices, 2008, sec. 3.2), which folds every
-    component of the gradient into one adjoint matrix Y.
+    (Higham, Functions of Matrices, 2008, sec. 3.2).  Frobenius inner
+    products do not change under the unitary V, so <dR'_k, dR'_l> and
+    <dR'_k, R'> need no transform back.  r^2 is inf, and the matrices
+    None, where e^A H e^-A overflows.
     """
-    A = sum(c * B for c, B in zip(coeffs, basis))
-    # scipy's eigh: numpy's own OpenBLAS pool contends with L-BFGS-B's (~6x slower on 2 cores)
-    lam, V = sla.eigh(A)
+    basis = np.asarray(basis)
+    lam, V = sla.eigh(np.tensordot(coeffs, basis, 1))
     d = lam[:, None] - lam[None, :]
+    Vh = V.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
-        Gp = np.exp(d) * (V.conj().T @ H @ V)
+        Gp = np.exp(d) * (Vh @ H @ V)
         Rp = Gp - Gp.conj().T
         r2 = float(np.vdot(Rp, Rp).real)
     if not np.isfinite(r2):
-        # overflow along an unbounded generator direction; steer back
-        return 1e60, np.asarray(coeffs, dtype=float) * 1e60
+        return np.inf, None, None
     small = np.abs(d) < 1e-8
     psi = np.where(small, 1.0 + 0.5 * d, np.expm1(d) / np.where(small, 1.0, d))
-    W = Gp @ Rp.conj().T - Rp.conj().T @ Gp
-    Y = V.conj() @ (W.T * psi) @ V.T
-    grad = np.array([4.0 * float(np.sum(Y * B).real) for B in basis])
-    return r2, grad
+    P = psi * (Vh @ basis @ V)
+    dG = P @ Gp - Gp @ P
+    J = (dG - dG.conj().transpose(0, 2, 1)).reshape(len(basis), -1)
+    return r2, (J.conj() @ J.T).real, (J.conj() @ Rp.ravel()).real
+
+
+def _metric_residual_and_grad(coeffs, H, basis):
+    """Squared residual |G - G^+|_F^2 of G = e^A H e^-A and its gradient
+    2 J^T r (see `_metric_normal_equations`)."""
+    r2, _, jtr = _metric_normal_equations(coeffs, H, basis)
+    if not np.isfinite(r2):
+        # overflow along an unbounded generator direction; steer back
+        return 1e60, np.asarray(coeffs, dtype=float) * 1e60
+    return r2, 2.0 * jtr
+
+
+def _levenberg_marquardt(x, H, basis, f_floor, f_target):
+    """Minimize r^2 from `x` by Levenberg-Marquardt on the normal equations.
+
+    Marquardt's diagonal damping, floored at 1% of its largest entry, with
+    Nielsen's gain-ratio update of the damping (Madsen, Nielsen & Tingleff,
+    Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2), whose
+    decrease is capped at 10x per step.  The damped system, ansatz_dim
+    square, is solved from the eigenpairs of the scaled J^T J, which stay
+    defined where J^T J is singular to rounding.  The loop stops at
+    "floor" once a step predicts a reduction of r^2 below `f_floor`
+    (rounding, not the model, would decide the step), at "stall" once a
+    step above `f_target` gains less than 0.1% of r^2, or at "cap".
+    Returns (x, r^2, evaluations, stop).
+    """
+    f, JtJ, g = _metric_normal_equations(x, H, basis)
+    nfev, mu, nu = 1, 1e-3, 2.0
+    while nfev < METRIC_MAX_NFEV:
+        if f <= f_floor:
+            # no step can gain more than r^2 itself
+            return x, f, nfev, "floor"
+        # (J^T J + mu D) step = -g in coordinates scaled by D^(-1/2); without
+        # its floor, D lets a direction that barely moves R take a huge step
+        # and the damping then freezes the others
+        sc = np.maximum(np.diag(JtJ), 1e-2 * np.diag(JtJ).max()) ** -0.5
+        lam, U = sla.eigh(sc[:, None] * JtJ * sc)
+        y = -U @ ((U.T @ (sc * g)) / (np.maximum(lam, 0.0) + mu))
+        step = sc * y
+        pred = mu * (y @ y) - step @ g
+        if pred <= f_floor:
+            return x, f, nfev, "floor"
+        x_new = x + step
+        # a coefficient below eps of the largest changes A by less than its
+        # rounding; zeroing it keeps subnormal numbers (5-10x slower
+        # evaluations) out of the tail where squeeze terms die away
+        x_new[np.abs(x_new) < np.finfo(float).eps * np.abs(x_new).max()] = 0.0
+        f_new, JtJ_new, g_new = _metric_normal_equations(x_new, H, basis)
+        nfev += 1
+        rho = (f - f_new) / pred
+        if rho <= 0:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        if f_target < f_new and f - f_new < 1e-3 * f:
+            return x_new, f_new, nfev, "stall"
+        x, f, JtJ, g = x_new, f_new, JtJ_new, g_new
+        # near a metric the squeeze direction's curvature (J^T J) falls 4x
+        # per step; damping that falls only 3x (Nielsen's 1/3) halves r per
+        # step instead of quartering it
+        mu, nu = mu * max(0.1, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+    return x, f, nfev, "cap"
 
 
 def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     """Search for a Hermitian generator A with exp(A) H exp(-A) Hermitian.
 
     Minimizes the Frobenius norm of the anti-Hermitian part of the
-    transformed operator by quasi-Newton (L-BFGS) descent with the
-    analytic gradient, both from one eigendecomposition of the generator
-    per evaluation (see `_metric_residual_and_grad`).
+    transformed operator by Levenberg-Marquardt steps on the normal
+    equations, which one eigendecomposition of the generator per
+    evaluation yields (see `_metric_normal_equations`).
     Returns the best eta = exp(A) = V e^L V^+ over `restarts` starts, from
     one more eigendecomposition A = V L V^+.  eta = e^A is positive
     definite for every Hermitian A, so the `positive` flag claims a
@@ -327,8 +395,6 @@ def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
-    import scipy.optimize as sopt          # imported only where metrics are searched
-
     if isinstance(H, TruncatedFockOperator):
         H = H.matrix
     H = np.asarray(H, dtype=complex)
@@ -336,32 +402,38 @@ def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     basis = metric_ansatz_basis(dim, ansatz_dim)
     rng = np.random.default_rng(seed)
     scale = np.linalg.norm(H)
+    tol = 1e-8 * (1.0 + scale)
+    # rounding in eigh leaves r at about 20 eps |H| near a metric (Swanson,
+    # dim 40); steps predicting less than this are decided by rounding
+    floor = 50.0 * np.finfo(float).eps * scale
     # optimize in coordinates scaled by the basis spectral norms; the raw
     # landscape is badly conditioned between bounded (number-type) and
     # unbounded (squeeze-type) generator directions
     bscale = np.array([1.0 / (1.0 + np.linalg.norm(B, 2)) for B in basis])
-    scaled_basis = [s * B for s, B in zip(bscale, basis)]
+    scaled_basis = np.array([s * B for s, B in zip(bscale, basis)])
 
-    best = None
+    best, nfev = None, 0
     for r in range(restarts):
         # the origin is a symmetry-protected critical point; nudge off it
         start = (np.full(len(basis), 0.5) if r == 0
                  else rng.normal(scale=2.0, size=len(basis)))
-        opt = sopt.minimize(_metric_residual_and_grad, start,
-                            args=(H, scaled_basis), jac=True, method="L-BFGS-B",
-                            options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14})
-        resid = float(np.sqrt(max(opt.fun, 0.0)))
-        if best is None or resid < best[0]:
-            best = (resid, opt.x * bscale)
-    resid, coeffs = best
+        x, f, n, stop = _levenberg_marquardt(start, H, scaled_basis,
+                                             floor ** 2, tol ** 2)
+        nfev += n
+        resid = float(np.sqrt(f))
+        # residuals at the rounding floor tie: the earlier start stays
+        if best is None or resid < best[0] - floor:
+            best = (resid, x * bscale, stop)
+    resid, coeffs, stop = best
     lam, V = sla.eigh(sum(c * B for c, B in zip(coeffs, basis)))
     eta = (V * np.exp(lam)) @ V.conj().T
     with np.errstate(over="ignore"):
         condition = float(np.exp(lam.max() - lam.min()))
-    converged = bool(resid < 1e-8 * (1.0 + scale))
+    converged = bool(resid < tol)
     positive = converged and bool(condition < 1.0 / np.finfo(float).eps)
     return MetricResult(eta=eta, coefficients=coeffs, residual=resid,
-                        converged=converged, positive=positive, condition=condition)
+                        converged=converged, positive=positive,
+                        condition=condition, nfev=nfev, stop=stop)
 
 
 def similarity_spectrum_check(H, eta):

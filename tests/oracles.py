@@ -8,8 +8,10 @@ symbolic variational calculus for the deformed KdV right-hand side,
 dense finite-difference matrices (solved by LAPACK in the tests) for the
 banded grid operators, the original KdV stepper (one transform pair per
 derivative, a validated field per stage) for the batched one, the
-matrix-exponential metric objective (`expm` and `expm_frechet` per
-generator) for the eigendecomposition one, and the original CMS
+matrix-exponential metric objective and normal equations (`expm` and
+`expm_frechet` per generator) for the eigendecomposition ones, the
+L-BFGS-B metric search for the Levenberg-Marquardt one, the biorthogonal
+metric from the eigenvectors for any searched one, and the original CMS
 equations of motion (coupling arrays rebuilt per call) and Lax pair
 (per-root loops over the step matrices) for the cached and stacked
 ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
@@ -319,33 +321,85 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
 
 
 # ---------------------------------------------------------------------------
-# reference metric-search objective
+# reference metric-search objectives, replaced search and biorthogonal metric
 # ---------------------------------------------------------------------------
 
-def reference_metric_objective(coeffs, H, basis):
-    """Squared residual |G - G^+|_F^2 of G = e^A H e^-A and its gradient.
+def reference_metric_normal_equations(coeffs, H, basis):
+    """r^2 = |R|_F^2 for R = G - G^+, G = e^A H e^-A, with J^T J and J^T r.
 
-    A = sum c_k B_k; e^(+-A) by `scipy.linalg.expm` and every derivative
-    by its own pair of `expm_frechet` calls, as ptlab's metric search
-    first did it.
+    A = sum c_k B_k; e^(+-A) by `scipy.linalg.expm` and every Jacobian
+    column dR_k by its own pair of `expm_frechet` calls, in the original
+    basis.  r^2 is inf, and the matrices None, where G overflows.
     """
     A = sum(c * B for c, B in zip(coeffs, basis))
     eta = sla.expm(A)
     eta_inv = sla.expm(-A)
-    G = eta @ H @ eta_inv
-    R = G - G.T.conj()
-    r2 = float(np.vdot(R, R).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = eta @ H @ eta_inv
+        R = G - G.T.conj()
+        r2 = float(np.vdot(R, R).real)
     if not np.isfinite(r2):
-        # overflow along an unbounded generator direction; steer back
-        return 1e60, np.asarray(coeffs, dtype=float) * 1e60
-    grad = np.empty(len(coeffs))
-    for k, B in enumerate(basis):
+        return np.inf, None, None
+    dR = []
+    for B in basis:
         _, dEta = sla.expm_frechet(A, B)
         _, dEtaInv = sla.expm_frechet(-A, -B)
         dG = dEta @ H @ eta_inv + eta @ H @ dEtaInv
-        dR = dG - dG.T.conj()
-        grad[k] = 2.0 * float(np.vdot(R, dR).real)
-    return r2, grad
+        dR.append(dG - dG.T.conj())
+    JtJ = np.array([[np.vdot(a, b).real for b in dR] for a in dR])
+    Jtr = np.array([np.vdot(a, R).real for a in dR])
+    return r2, JtJ, Jtr
+
+
+def reference_metric_objective(coeffs, H, basis):
+    """Squared residual |G - G^+|_F^2 of G = e^A H e^-A and its gradient
+    2 J^T r, from `reference_metric_normal_equations`, as ptlab's metric
+    search first computed them."""
+    r2, _, jtr = reference_metric_normal_equations(coeffs, H, basis)
+    if not np.isfinite(r2):
+        # overflow along an unbounded generator direction; steer back
+        return 1e60, np.asarray(coeffs, dtype=float) * 1e60
+    return r2, 2.0 * jtr
+
+
+def reference_metric_search(H, ansatz_dim=3, seed=None, restarts=1):
+    """ptlab's metric search before Levenberg-Marquardt: L-BFGS-B on
+    (r^2, gradient) from `spectra._metric_residual_and_grad`, with the
+    same starts and coordinate scaling.  Its `ftol=1e-18` acts as an
+    absolute bound on r^2 < 1, so it stops at residuals near 1e-9.
+    Returns (residual, coefficients, evaluations)."""
+    import scipy.optimize as sopt
+    from ptlab import spectra
+
+    H = np.asarray(H, dtype=complex)
+    basis = spectra.metric_ansatz_basis(H.shape[0], ansatz_dim)
+    rng = np.random.default_rng(seed)
+    bscale = np.array([1.0 / (1.0 + np.linalg.norm(B, 2)) for B in basis])
+    scaled_basis = [s * B for s, B in zip(bscale, basis)]
+    best, nfev = None, 0
+    for r in range(restarts):
+        start = (np.full(len(basis), 0.5) if r == 0
+                 else rng.normal(scale=2.0, size=len(basis)))
+        opt = sopt.minimize(spectra._metric_residual_and_grad, start,
+                            args=(H, scaled_basis), jac=True, method="L-BFGS-B",
+                            options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-14})
+        nfev += opt.nfev
+        resid = float(np.sqrt(max(opt.fun, 0.0)))
+        if best is None or resid < best[0]:
+            best = (resid, opt.x * bscale)
+    return best[0], best[1], nfev
+
+
+def biorthogonal_metric(H):
+    """Pseudo-Hermiticity metric eta = (V V^+)^-1 from the right
+    eigenvectors V of a diagonalizable H (Mostafazadeh, arXiv:0810.5643).
+
+    With H = V E V^-1, eta H eta^-1 = V^-+ E V^+, which is H^+ when E is
+    real; eta needs no search and no ansatz.  For the generator A of
+    `spectra.metric_search`, e^(2A) is such a metric too.
+    """
+    _, V = sla.eig(H)
+    return np.linalg.inv(V @ V.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptlab import cli
+from ptlab import cli, spectra
 from ptlab.errors import ConfigurationError
 
 
@@ -95,6 +95,7 @@ def test_spectra_metric_reports_condition(tmp_path):
     metric = json.loads((tmp_path / "spectrum.json").read_text())["metric"]
     assert metric["converged"] and metric["positive"]
     assert 1.0 < metric["condition"] < 1.0 / np.finfo(float).eps
+    assert metric["stop"] == "floor" and 0 < metric["nfev"] <= spectra.METRIC_MAX_NFEV
 
 
 def test_susy_run_writes_all_artifacts(tmp_path):
@@ -166,16 +167,31 @@ def run_python_dash_m(tmp_path, *argv, timeout=120):
     return run_python(tmp_path, "-m", "ptlab", *argv, timeout=timeout)
 
 
+def loaded_after(tmp_path, argv, module):
+    """Whether `module` is in sys.modules after `cli.main(argv)` (after
+    importing the CLI alone for an empty argv) in a fresh interpreter."""
+    done = run_python(tmp_path, "-c", "import sys; from ptlab import cli; "
+                      "code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0; "
+                      "print(code, sys.argv[1] in sys.modules)", module, *argv)
+    assert done.returncode == 0, done.stderr
+    code, loaded = done.stdout.splitlines()[-1].split()
+    assert int(code) == cli.EXIT_OK, argv
+    return loaded == "True"
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     # importing scipy.integrate costs about 0.2-0.3 s; the stepping loop
     # carries its own DOP853, so not even the runs that step load it
     for argv in ([], ["kdv", "--model", "fring", "--t-end", "0.01"],
                  ["cms", "--family", "A", "--rank", "2", "--steps", "5"]):
-        done = run_python(tmp_path, "-c", "import sys; from ptlab import cli; "
-                          "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-                          "print(code, 'scipy.integrate' in sys.modules)", *argv)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False", argv
+        assert not loaded_after(tmp_path, argv, "scipy.integrate"), argv
+
+
+def test_metric_run_leaves_scipy_optimize_unloaded(tmp_path):
+    # importing scipy.optimize costs about 0.2 s; the metric search runs
+    # its own Levenberg-Marquardt loop
+    assert not loaded_after(tmp_path, ["spectra", "--model", "swanson", "--dim", "24",
+                                       "--metric", "true"], "scipy.optimize")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

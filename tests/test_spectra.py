@@ -8,9 +8,10 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bilinear_levels, cubic_ground_energy,
+from oracles import (biorthogonal_metric, bilinear_levels, cubic_ground_energy,
                      cubic_interaction_element, dense_schrodinger,
-                     reference_metric_objective)
+                     reference_metric_normal_equations, reference_metric_objective,
+                     reference_metric_search)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
 
@@ -255,6 +256,9 @@ def test_metric_objective_matches_reference(model, dim, ansatz_dim):
         r2_ref, grad_ref = reference_metric_objective(c, op.matrix, basis)
         assert abs(r2 - r2_ref) <= 1e-12 * r2_ref
         assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        _, jtj, _ = spectra._metric_normal_equations(c, op.matrix, basis)
+        _, jtj_ref, _ = reference_metric_normal_equations(c, op.matrix, basis)
+        assert np.abs(jtj - jtj_ref).max() <= 1e-12 * np.abs(jtj_ref).max()
 
 
 def test_metric_objective_overflow_steers_back():
@@ -264,6 +268,8 @@ def test_metric_objective_overflow_steers_back():
     r2, grad = spectra._metric_residual_and_grad(c, op.matrix, basis)
     assert r2 == 1e60
     assert np.array_equal(grad, c * 1e60)
+    # the search rejects such a step
+    assert spectra._metric_normal_equations(c, op.matrix, basis) == (np.inf, None, None)
 
 
 def test_metric_search_makes_at_most_one_exponential(monkeypatch):
@@ -286,16 +292,53 @@ def test_metric_search_makes_at_most_one_exponential(monkeypatch):
     assert len(calls) <= 1
 
 
-@pytest.mark.parametrize("g, dim", [(0.5, 24), (0.5, 40), (0.3, 24), (0.3, 40)])
+# the four searches of the benchmark's metric sweep
+SCAN_METRIC_CELLS = [(0.5, 24), (0.5, 40), (0.3, 24), (0.3, 40)]
+
+
+@pytest.mark.parametrize("g, dim", SCAN_METRIC_CELLS)
 def test_metric_search_matches_reference_objective(monkeypatch, g, dim):
-    # the four searches of the benchmark's metric sweep, at one seed
+    # one Levenberg-Marquardt loop on both objectives, at one seed; the
+    # coefficients are fixed only to about 1e-8 near a metric, where the
+    # residual grows as the square of a squeeze coefficient, so two
+    # different optimizers' stopping points are no reference at 1e-8
     op = spectra.swanson_model(2.0, g, 0.2, dim)
     res = spectra.metric_search(op, seed=7, restarts=3)
-    monkeypatch.setattr(spectra, "_metric_residual_and_grad",
-                        reference_metric_objective)
+    monkeypatch.setattr(spectra, "_metric_normal_equations",
+                        reference_metric_normal_equations)
     ref = spectra.metric_search(op, seed=7, restarts=3)
     assert res.converged and res.positive
     assert res.coefficients[0] == pytest.approx(ref.coefficients[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("g, dim", SCAN_METRIC_CELLS)
+def test_metric_search_improves_on_replaced_search(g, dim):
+    # L-BFGS-B stopped at r^2 near 1e-18; Levenberg-Marquardt goes on to
+    # the rounding floor in about half the evaluations
+    op = spectra.swanson_model(2.0, g, 0.2, dim)
+    res = spectra.metric_search(op, seed=7, restarts=3)
+    old_resid, old_coeffs, old_nfev = reference_metric_search(op.matrix, seed=7,
+                                                              restarts=3)
+    assert res.stop == "floor"
+    assert res.residual <= 1e-11 < old_resid < 1e-8
+    assert res.nfev < old_nfev
+    assert res.coefficients == pytest.approx(old_coeffs, abs=1e-5)
+
+
+@pytest.mark.parametrize("g, dim", SCAN_METRIC_CELLS)
+def test_metric_search_agrees_with_biorthogonal_metric(g, dim):
+    op = spectra.swanson_model(2.0, g, 0.2, dim)
+    H = op.matrix
+    eta = spectra.metric_search(op, seed=7, restarts=3).eta
+    eta_bi = biorthogonal_metric(H)
+    h = eta @ H @ np.linalg.inv(eta)
+    assert np.linalg.norm(h - h.conj().T) <= 1e-11 * np.linalg.norm(H)
+    assert spectra.similarity_spectrum_check(op, eta) < 1e-8
+    assert spectra.similarity_spectrum_check(op, eta_bi) < 1e-8
+    # eta^2 = e^(2A) and eta_bi both map H to H^+
+    for metric in (eta @ eta, eta_bi):
+        hd = metric @ H @ np.linalg.inv(metric)
+        assert np.linalg.norm(hd - H.conj().T) <= 1e-10 * np.linalg.norm(H)
 
 
 def test_metric_search_recovers_exact_swanson_generator():
@@ -311,7 +354,7 @@ def test_metric_search_recovers_exact_swanson_generator():
 def test_metric_search_full_ansatz_and_similarity():
     op = spectra.swanson_model(2.0, 0.3, 0.2, 24)
     res = spectra.metric_search(op, ansatz_dim=3, seed=1)
-    assert res.converged and res.positive
+    assert res.converged and res.positive and res.stop == "floor"
     assert res.residual < 1e-7
     assert spectra.similarity_spectrum_check(op, res.eta) < 1e-8
     transformed = res.eta @ op.matrix @ np.linalg.inv(res.eta)
@@ -332,6 +375,24 @@ def test_unconverged_metric_search_claims_no_metric():
     res = spectra.metric_search(spectra.reggeon_single_site(1.0, 1.0, 80), seed=0)
     assert not res.converged and res.condition < 10.0
     assert not res.positive
+    # the search sees that it has settled well before its evaluation cap
+    assert res.stop == "stall" and res.nfev < spectra.METRIC_MAX_NFEV
+
+
+def test_metric_search_reports_cap(monkeypatch):
+    monkeypatch.setattr(spectra, "METRIC_MAX_NFEV", 5)
+    res = spectra.metric_search(spectra.swanson_model(2.0, 0.3, 0.2, 24), seed=7,
+                                restarts=2)
+    assert res.stop == "cap" and res.nfev == 10 and not res.converged
+
+
+@pytest.mark.parametrize("delta", [2.0, 0.0])
+def test_metric_search_on_hermitian_input(delta):
+    # H = delta N (or 0) is Hermitian already, and the N direction barely
+    # moves R here: undamped by a floor, it takes a huge step
+    res = spectra.metric_search(spectra.swanson_model(delta, 0.0, 0.0, 24), seed=7,
+                                restarts=3)
+    assert res.converged and res.positive and res.stop == "floor"
 
 
 def test_metric_ansatz_validation():
