@@ -16,19 +16,20 @@ for N, hw, n in [(2, 10.0, 600), (3, 6.5, 900), (4, 3.0, 900)]:
           f"lowest levels {np.round(rep.eigenvalues.real, 6)}")
 
 # bilinear Fock-space model in the unbroken regime
-op = spectra.swanson_model(2.0, 0.5, 0.3, 80)
-rep = spectra.fock_report(op, k=6)
+bilinear = lambda d: spectra.swanson_model(2.0, 0.5, 0.3, d)
+rep = spectra.fock_report(bilinear, 80, k=6)
 print("\nbilinear model:", rep.classification.value,
       np.round(rep.eigenvalues.real, 8))
 
 # cubic Fock-space model: low levels are real, the truncation edge is not
-build = lambda d: spectra.reggeon_single_site(1.0, 0.3, d)
-rep = spectra.fock_report(build(80), k=10, build=build)
+cubic = lambda d: spectra.reggeon_single_site(1.0, 0.3, d)
+rep = spectra.fock_report(cubic, 80, k=10)
 print("cubic model:   ", rep.classification.value,
       "flagged levels:", rep.diagnostics["flagged"])
 
 # metric search: exp(A) H exp(-A) Hermitian over a small Hermitian ansatz
-res = spectra.metric_search(op, ansatz_dim=3, seed=0)
+op = bilinear(80)
+res = spectra.metric_search(op, ansatz_dim=3)
 print(f"\nmetric search: residual {res.residual:.2e} "
       f"converged={res.converged} positive={res.positive}")
 print("isospectrality of the transform:",

@@ -69,7 +69,6 @@ SCHEMAS = {
         "k": (int, 10),
         "tol": (float, 1e-6),
         "metric": (_bool, False),
-        "metric_restarts": (int, 3),
     },
     "susy": {
         "profile": (_choice("gaussian", "gaussian-complex", "sech"), "gaussian"),
@@ -235,27 +234,23 @@ def run_spectra(params, seed, output_dir):
                                   half_width=params["half_width"],
                                   n_grid=params["n_grid"])
         rep = spectra.monomial_spectrum(m, k=params["k"], tol=params["tol"])
-        op = None
-    elif model == "reggeon":
-        def build(d):
-            return spectra.reggeon_single_site(params["delta"], params["g"], d)
-        op = build(params["dim"])
-        rep = spectra.fock_report(op, k=params["k"], tol=params["tol"], build=build)
     else:
         def build(d):
+            if model == "reggeon":
+                return spectra.reggeon_single_site(params["delta"], params["g"], d)
             return spectra.swanson_model(params["delta"], params["g"],
                                          params["gtilde"], d)
-        op = build(params["dim"])
-        rep = spectra.fock_report(op, k=params["k"], tol=params["tol"], build=build)
+        rep = spectra.fock_report(build, params["dim"], k=params["k"],
+                                  tol=params["tol"])
 
     doc = {"model": model,
            "params": {k: params[k] for k in sorted(params)},
            "dim": params["dim"] if model != "monomial" else None,
            **rep.to_dict()}
     if params["metric"]:
-        if op is None:
+        if model == "monomial":
             raise ConfigurationError("metric search applies to Fock-space models only")
-        res = spectra.metric_search(op, seed=seed, restarts=params["metric_restarts"])
+        res = spectra.metric_search(build(params["dim"]))
         doc["metric"] = {"residual": res.residual,
                          "converged": res.converged,
                          "positive": res.positive,

@@ -121,7 +121,7 @@ class CMSSystem:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=complex))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=complex))
         if self.q.shape != (self.root_system.dim,) or self.p.shape != self.q.shape:
-            raise ValueError("q, p must have the root representation dimension")
+            raise ConfigurationError("q, p must have the root representation dimension")
 
     @property
     def dim(self):
@@ -378,7 +378,7 @@ def conserved_charges(sys: CMSSystem, basis: CartanWeylBasis, k_max):
     """Charges I_k = tr(L^k)/2 for k = 1..k_max, for LAX_FAMILIES only."""
     _require_lax(sys)
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ConfigurationError("k_max must be >= 1")
     f = sys.potential.f(_check_nonsingular(sys))
     L = _step_sum(basis, sys.p + 1j * _mu(sys, f),
                   1j * sys._root_couplings[3] * f)
@@ -399,7 +399,7 @@ def basu_mallick_kundu_form(ell, omega, g, gtilde, q, p):
     q = np.asarray(q, dtype=complex)
     p = np.asarray(p, dtype=complex)
     if q.shape != (ell + 1,) or p.shape != q.shape:
-        raise ValueError("q, p must have length ell+1")
+        raise ConfigurationError("q, p must have length ell+1")
     dq = q[:, None] - q[None, :]
     off = ~np.eye(ell + 1, dtype=bool)
     if np.abs(dq[off]).min() < SINGULAR_GUARD:

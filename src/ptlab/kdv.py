@@ -92,6 +92,8 @@ class KdVField:
 
     @classmethod
     def from_callable(cls, f, L, n):
+        if n < 16:
+            raise ConfigurationError("need at least 16 samples")
         x = np.linspace(0.0, L, n, endpoint=False)
         return cls(L=L, values=np.asarray(f(x), dtype=complex))
 
@@ -281,7 +283,8 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     u_x from one batched inverse FFT, and the charge monitor reuses that
     u_x.
 
-    Raises ConfigurationError for a NaN or infinite eps, t_final or dt.
+    Raises ConfigurationError for a NaN or infinite eps, t_final or dt,
+    and for fewer than 2 snapshots.
     Raises BlowUpError, with the last accepted time as `t_last`, when
     the step size collapses or the L2 norm of u grows by more than 1e6
     over the initial one (a NaN counts as growth), and BranchError,
@@ -297,7 +300,9 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError("t_final must be an integer number of steps")
-    snap_every = max(1, n_steps // max(1, n_snapshots - 1))
+    if n_snapshots < 2:
+        raise ConfigurationError(f"need at least 2 snapshots, got {n_snapshots}")
+    snap_every = max(1, n_steps // (n_snapshots - 1))
     snap_at = {k * dt for k in (*range(snap_every, n_steps, snap_every), n_steps)}
     mon_at = {k * dt for k in (*range(0, n_steps, monitor_stride), n_steps)}
     stops = sorted(snap_at | mon_at, key=abs)
@@ -439,8 +444,8 @@ def soliton(c, L, n):
     """KdV one-soliton 3 c sech^2(sqrt(c) (x - L/2) / 2), periodized."""
     if not c > 0:
         raise ConfigurationError("soliton speed c must be positive")
-    x = np.linspace(0.0, L, n, endpoint=False)
-    return KdVField(L=L, values=3.0 * c / np.cosh(0.5 * np.sqrt(c) * (x - L / 2.0)) ** 2)
+    return KdVField.from_callable(
+        lambda x: 3.0 * c / np.cosh(0.5 * np.sqrt(c) * (x - L / 2.0)) ** 2, L, n)
 
 
 @dataclass

@@ -107,6 +107,9 @@ class MonomialModel:
             raise ConfigurationError("coupling g must be positive")
         if not self.half_width > 0:
             raise ConfigurationError("half_width must be positive")
+        if self.n_grid < 3:
+            # ARPACK needs k < n_grid - 1 for the k >= 1 levels it finds
+            raise ConfigurationError(f"n_grid must be at least 3, got {self.n_grid}")
 
     def potential(self, z):
         return -self.g * (1j * z) ** self.N
@@ -227,20 +230,18 @@ def swanson_model(delta, g, gtilde, dim):
     return TruncatedFockOperator(matrix=m)
 
 
-def fock_report(op: TruncatedFockOperator, k=10, tol=1e-6, build=None):
-    """Lowest-k levels of `op`, 1 <= k <= op.dim; with `build` (build(op.dim)
-    being `op`), also their change under op.dim -> op.dim + 20."""
-    if not 1 <= k <= op.dim:
-        raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {op.dim}, got {k}")
+def fock_report(build, dim, k=10, tol=1e-6):
+    """Lowest-k levels of build(dim), 1 <= k <= dim, and their change when
+    the truncation grows from dim to dim + 20."""
+    op = build(dim)
+    if not 1 <= k <= dim:
+        raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
     eigs = op.eigenvalues()[:k]
-    diag = {}
-    if build is not None:
-        dims = [op.dim, op.dim + 20]
-        change = np.abs(build(dims[1]).eigenvalues()[:k] - eigs)
-        diag = {"truncation_change": change.tolist(),
-                "flagged": [int(i) for i in np.nonzero(change > 1e-8)[0]],
-                "dims": dims}
-    return make_report(eigs, tol=tol, diagnostics=diag)
+    change = np.abs(build(dim + 20).eigenvalues()[:k] - eigs)
+    return make_report(eigs, tol=tol, diagnostics={
+        "truncation_change": change.tolist(),
+        "flagged": [int(i) for i in np.nonzero(change > 1e-8)[0]],
+        "dims": [dim, dim + 20]})
 
 
 def is_pt_symmetric_fock(matrix):
@@ -279,11 +280,11 @@ class MetricResult:
     converged: bool
     positive: bool
     condition: float         # eta's condition number e^(max L - min L)
-    nfev: int                # objective evaluations over all starts
-    stop: str                # how the best start ended: "floor", "stall" or "cap"
+    nfev: int                # objective evaluations
+    stop: str                # how the search ended: "floor", "stall" or "cap"
 
 
-# Levenberg-Marquardt evaluations allowed per start
+# Levenberg-Marquardt evaluations allowed
 METRIC_MAX_NFEV = 100
 
 
@@ -379,28 +380,24 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
     return x, f, nfev, "cap"
 
 
-def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
+def metric_search(H, ansatz_dim=3):
     """Search for a Hermitian generator A with exp(A) H exp(-A) Hermitian.
 
     Minimizes the Frobenius norm of the anti-Hermitian part of the
     transformed operator by Levenberg-Marquardt steps on the normal
     equations, which one eigendecomposition of the generator per
-    evaluation yields (see `_metric_normal_equations`).
-    Returns the best eta = exp(A) = V e^L V^+ over `restarts` starts, from
-    one more eigendecomposition A = V L V^+.  eta = e^A is positive
-    definite for every Hermitian A, so the `positive` flag claims a
-    usable metric instead: the search converged and eta's condition
-    number e^(max L - min L) stays below 1/eps of float64, so that
-    eta^-1 and inner products in eta carry some digits.
+    evaluation yields (see `_metric_normal_equations`), from one fixed
+    start.  Returns eta = exp(A) = V e^L V^+ from one more
+    eigendecomposition A = V L V^+.  eta = e^A is positive definite for
+    every Hermitian A, so the `positive` flag claims a usable metric
+    instead: the search converged and eta's condition number
+    e^(max L - min L) stays below 1/eps of float64, so that eta^-1 and
+    inner products in eta carry some digits.
     """
-    if restarts < 1:
-        raise ConfigurationError(f"restarts must be >= 1, got {restarts}")
     if isinstance(H, TruncatedFockOperator):
         H = H.matrix
     H = np.asarray(H, dtype=complex)
-    dim = H.shape[0]
-    basis = metric_ansatz_basis(dim, ansatz_dim)
-    rng = np.random.default_rng(seed)
+    basis = metric_ansatz_basis(H.shape[0], ansatz_dim)
     scale = np.linalg.norm(H)
     tol = 1e-8 * (1.0 + scale)
     # rounding in eigh leaves r at about 20 eps |H| near a metric (Swanson,
@@ -412,19 +409,11 @@ def metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     bscale = np.array([1.0 / (1.0 + np.linalg.norm(B, 2)) for B in basis])
     scaled_basis = np.array([s * B for s, B in zip(bscale, basis)])
 
-    best, nfev = None, 0
-    for r in range(restarts):
-        # the origin is a symmetry-protected critical point; nudge off it
-        start = (np.full(len(basis), 0.5) if r == 0
-                 else rng.normal(scale=2.0, size=len(basis)))
-        x, f, n, stop = _levenberg_marquardt(start, H, scaled_basis,
-                                             floor ** 2, tol ** 2)
-        nfev += n
-        resid = float(np.sqrt(f))
-        # residuals at the rounding floor tie: the earlier start stays
-        if best is None or resid < best[0] - floor:
-            best = (resid, x * bscale, stop)
-    resid, coeffs, stop = best
+    # the origin is a symmetry-protected critical point; start off it
+    x, f, nfev, stop = _levenberg_marquardt(np.full(len(basis), 0.5), H,
+                                            scaled_basis, floor ** 2, tol ** 2)
+    resid = float(np.sqrt(f))
+    coeffs = x * bscale
     lam, V = sla.eigh(sum(c * B for c, B in zip(coeffs, basis)))
     eta = (V * np.exp(lam)) @ V.conj().T
     with np.errstate(over="ignore"):

@@ -46,6 +46,8 @@ class GridWavefunction:
 
     @classmethod
     def from_callable(cls, f, window, n):
+        if n < 16:
+            raise ConfigurationError("need at least 16 samples")
         x = np.linspace(window[0], window[1], n)
         return cls(x0=x[0], dx=x[1] - x[0], values=np.asarray(f(x), dtype=complex))
 

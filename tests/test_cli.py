@@ -89,13 +89,23 @@ def test_spectra_swanson_run(tmp_path):
 
 def test_spectra_metric_reports_condition(tmp_path):
     code = run_main(tmp_path, "spectra", "--model", "swanson", "--delta", "2",
-                    "--g", "0.3", "--gtilde", "0.2", "--dim", "24", "--metric", "true",
-                    "--metric-restarts", "1")
+                    "--g", "0.3", "--gtilde", "0.2", "--dim", "24", "--metric", "true")
     assert code == cli.EXIT_OK
     metric = json.loads((tmp_path / "spectrum.json").read_text())["metric"]
     assert metric["converged"] and metric["positive"]
     assert 1.0 < metric["condition"] < 1.0 / np.finfo(float).eps
     assert metric["stop"] == "floor" and 0 < metric["nfev"] <= spectra.METRIC_MAX_NFEV
+
+
+def test_spectra_metric_ignores_seed(tmp_path):
+    # the search runs once from a fixed start; the seed draws only CMS states
+    docs = []
+    for seed in ("0", "1", "777"):
+        out = tmp_path / seed
+        assert cli.main(["spectra", "--model", "reggeon", "--metric", "true",
+                         "--seed", seed, "--output-dir", str(out)]) == cli.EXIT_OK
+        docs.append((out / "spectrum.json").read_bytes())
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_susy_run_writes_all_artifacts(tmp_path):
@@ -296,8 +306,6 @@ _NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "1
     ["susy", "--window", "8:-8"],
     ["spectra", "--model", "reggeon", "--dim", "40", "--k", "0"],
     ["spectra", "--model", "reggeon", "--dim", "40", "--k", "50"],
-    ["spectra", "--model", "swanson", "--dim", "24", "--metric", "true",
-     "--metric-restarts", "0"],
     # NaN where a positive number is required
     ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200", "--tol", "nan"],
     ["spectra", "--model", "monomial", "--g", "nan"],
@@ -320,11 +328,21 @@ _NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "1
     ["spectra", "--model", "swanson", "--g", "nan"],
     ["susy", "--profile", "gaussian-complex", "--alpha", "nan"],
     ["susy", "--E-m", "nan"],
+    # grids too small to sample, and too few snapshots
+    ["spectra", "--model", "monomial", "--n-grid", "-5"],
+    ["spectra", "--model", "monomial", "--n-grid", "0"],
+    ["spectra", "--model", "monomial", "--n-grid", "1"],
+    ["kdv", "--model", "fring", "--n", "-5"],
+    ["susy", "--n", "-5"],
+    ["susy", "--n", "0"],
+    ["susy", "--n", "1"],
+    ["kdv", "--model", "fring", "--snapshots", "0"],
+    ["kdv", "--model", "fring", "--snapshots", "-2"],
 ])
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
     # k must satisfy 1 <= k < n - 1 on every grid engine and 1 <= k <= dim
     # on the Fock engines; other bad values (step size, record spacing,
-    # sample, grid and restart counts, tolerance, window, NaN, infinity)
+    # sample, grid and snapshot counts, tolerance, window, NaN, infinity)
     # are config errors too
     if argv is _NAN_FORCE:
         # a NaN force once kept the trajectory solver stepping for good:

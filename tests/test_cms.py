@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import (rational_calogero_lax_reference, reference_equations_of_motion,
                      reference_lax, reference_rk4_trajectory)
 from ptlab import cli, cms
-from ptlab.errors import CapabilityError, SingularConfigError
+from ptlab.errors import CapabilityError, PTLabError, SingularConfigError
 from ptlab.rootsys import build_cartan_weyl, build_root_system
 
 
@@ -130,6 +130,20 @@ def test_particle_coordinate_form_matches(ell):
         q, p = random_state(rng, sys.root_system, sys.potential)
         direct = cms.basu_mallick_kundu_form(ell, 0.0, 0.9, 0.4, q, p)
         assert abs(direct - cms.hamiltonian_undeformed_form(sys.at(q, p))) < 1e-10
+
+
+def test_bad_shapes_and_counts_fail_like_other_engines():
+    # a PTLabError, which the CLI turns into an exit code, not a traceback
+    sys = make("A", 2)
+    q, p = random_state(np.random.default_rng(13), sys.root_system, sys.potential)
+    basis = build_cartan_weyl(sys.root_system)
+    for evaluate, message in [
+            (lambda: sys.at(q, p[:2]), "root representation dimension"),
+            (lambda: cms.conserved_charges(sys.at(q, p), basis, 0), "k_max"),
+            (lambda: cms.basu_mallick_kundu_form(2, 0.0, 0.9, 0.4, q[:2], p[:2]),
+             "length ell\\+1")]:
+        with pytest.raises(PTLabError, match=message):
+            evaluate()
 
 
 def test_real_spectrum_form_on_real_phase_space_is_complex():

@@ -194,13 +194,13 @@ def test_swanson_broken_phase_never_stabilizes():
     # diagnostic reports.
     assert abs(bilinear_levels(0.5, 1.0, 1.0, 1)[0].imag) > 0.5
     build = lambda d: spectra.swanson_model(0.5, 1.0, 1.0, d)
-    rep = spectra.fock_report(build(60), k=6, build=build)
+    rep = spectra.fock_report(build, 60, k=6)
     assert min(rep.diagnostics["truncation_change"]) > 1e-3
 
 
 def test_truncation_diagnostics_flags_unstable_levels():
     build = lambda d: spectra.reggeon_single_site(1.0, 0.3, d)
-    rep = spectra.fock_report(build(60), k=10, build=build)
+    rep = spectra.fock_report(build, 60, k=10)
     assert rep.diagnostics["dims"] == [60, 80]
     change = np.array(rep.diagnostics["truncation_change"])
     # the report reuses its own dim-60 levels: bitwise the change of two solves
@@ -287,7 +287,7 @@ def test_metric_search_makes_at_most_one_exponential(monkeypatch):
     basis = spectra.metric_ansatz_basis(24, 3)
     spectra._metric_residual_and_grad(np.full(3, 0.1), op.matrix, basis)
     assert calls == []
-    res = spectra.metric_search(op, seed=7, restarts=3)
+    res = spectra.metric_search(op)
     assert res.converged and res.positive
     assert len(calls) <= 1
 
@@ -298,15 +298,15 @@ SCAN_METRIC_CELLS = [(0.5, 24), (0.5, 40), (0.3, 24), (0.3, 40)]
 
 @pytest.mark.parametrize("g, dim", SCAN_METRIC_CELLS)
 def test_metric_search_matches_reference_objective(monkeypatch, g, dim):
-    # one Levenberg-Marquardt loop on both objectives, at one seed; the
+    # one Levenberg-Marquardt loop on both objectives, from one start; the
     # coefficients are fixed only to about 1e-8 near a metric, where the
     # residual grows as the square of a squeeze coefficient, so two
     # different optimizers' stopping points are no reference at 1e-8
     op = spectra.swanson_model(2.0, g, 0.2, dim)
-    res = spectra.metric_search(op, seed=7, restarts=3)
+    res = spectra.metric_search(op)
     monkeypatch.setattr(spectra, "_metric_normal_equations",
                         reference_metric_normal_equations)
-    ref = spectra.metric_search(op, seed=7, restarts=3)
+    ref = spectra.metric_search(op)
     assert res.converged and res.positive
     assert res.coefficients[0] == pytest.approx(ref.coefficients[0], abs=1e-8)
 
@@ -316,9 +316,8 @@ def test_metric_search_improves_on_replaced_search(g, dim):
     # L-BFGS-B stopped at r^2 near 1e-18; Levenberg-Marquardt goes on to
     # the rounding floor in about half the evaluations
     op = spectra.swanson_model(2.0, g, 0.2, dim)
-    res = spectra.metric_search(op, seed=7, restarts=3)
-    old_resid, old_coeffs, old_nfev = reference_metric_search(op.matrix, seed=7,
-                                                              restarts=3)
+    res = spectra.metric_search(op)
+    old_resid, old_coeffs, old_nfev = reference_metric_search(op.matrix)
     assert res.stop == "floor"
     assert res.residual <= 1e-11 < old_resid < 1e-8
     assert res.nfev < old_nfev
@@ -329,7 +328,7 @@ def test_metric_search_improves_on_replaced_search(g, dim):
 def test_metric_search_agrees_with_biorthogonal_metric(g, dim):
     op = spectra.swanson_model(2.0, g, 0.2, dim)
     H = op.matrix
-    eta = spectra.metric_search(op, seed=7, restarts=3).eta
+    eta = spectra.metric_search(op).eta
     eta_bi = biorthogonal_metric(H)
     h = eta @ H @ np.linalg.inv(eta)
     assert np.linalg.norm(h - h.conj().T) <= 1e-11 * np.linalg.norm(H)
@@ -345,7 +344,7 @@ def test_metric_search_recovers_exact_swanson_generator():
     # eta = exp(c N) Hermitizes the bilinear model when exp(4c) = gtilde/g
     delta, g, gtilde, dim = 2.0, 0.3, 0.2, 24
     op = spectra.swanson_model(delta, g, gtilde, dim)
-    res = spectra.metric_search(op, ansatz_dim=1, seed=0)
+    res = spectra.metric_search(op, ansatz_dim=1)
     assert res.converged and res.positive
     assert res.coefficients[0] == pytest.approx(0.25 * np.log(gtilde / g),
                                                 abs=1e-6)
@@ -353,7 +352,7 @@ def test_metric_search_recovers_exact_swanson_generator():
 
 def test_metric_search_full_ansatz_and_similarity():
     op = spectra.swanson_model(2.0, 0.3, 0.2, 24)
-    res = spectra.metric_search(op, ansatz_dim=3, seed=1)
+    res = spectra.metric_search(op, ansatz_dim=3)
     assert res.converged and res.positive and res.stop == "floor"
     assert res.residual < 1e-7
     assert spectra.similarity_spectrum_check(op, res.eta) < 1e-8
@@ -364,7 +363,7 @@ def test_metric_search_full_ansatz_and_similarity():
 def test_metric_condition_is_etas():
     # the scan-small Swanson searches: condition numbers from 10 to 7.6e3
     for g, dim in [(0.3, 24), (0.5, 40)]:
-        res = spectra.metric_search(spectra.swanson_model(2.0, g, 0.2, dim), seed=7)
+        res = spectra.metric_search(spectra.swanson_model(2.0, g, 0.2, dim))
         assert res.condition == pytest.approx(np.linalg.cond(res.eta), rel=1e-8)
         assert res.condition > 5.0 and res.positive
 
@@ -372,7 +371,7 @@ def test_metric_condition_is_etas():
 def test_unconverged_metric_search_claims_no_metric():
     # the CLI's reggeon default: the ansatz cannot Hermitize it (residual
     # about 9e3), though its eta = e^A is positive definite and well conditioned
-    res = spectra.metric_search(spectra.reggeon_single_site(1.0, 1.0, 80), seed=0)
+    res = spectra.metric_search(spectra.reggeon_single_site(1.0, 1.0, 80))
     assert not res.converged and res.condition < 10.0
     assert not res.positive
     # the search sees that it has settled well before its evaluation cap
@@ -381,17 +380,15 @@ def test_unconverged_metric_search_claims_no_metric():
 
 def test_metric_search_reports_cap(monkeypatch):
     monkeypatch.setattr(spectra, "METRIC_MAX_NFEV", 5)
-    res = spectra.metric_search(spectra.swanson_model(2.0, 0.3, 0.2, 24), seed=7,
-                                restarts=2)
-    assert res.stop == "cap" and res.nfev == 10 and not res.converged
+    res = spectra.metric_search(spectra.swanson_model(2.0, 0.3, 0.2, 24))
+    assert res.stop == "cap" and res.nfev == 5 and not res.converged
 
 
 @pytest.mark.parametrize("delta", [2.0, 0.0])
 def test_metric_search_on_hermitian_input(delta):
     # H = delta N (or 0) is Hermitian already, and the N direction barely
     # moves R here: undamped by a floor, it takes a huge step
-    res = spectra.metric_search(spectra.swanson_model(delta, 0.0, 0.0, 24), seed=7,
-                                restarts=3)
+    res = spectra.metric_search(spectra.swanson_model(delta, 0.0, 0.0, 24))
     assert res.converged and res.positive and res.stop == "floor"
 
 

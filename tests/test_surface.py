@@ -1,15 +1,18 @@
-"""Every option of ptlab has a caller.
+"""Every option of ptlab has a caller, and every config key a reader.
 
 A parameter with a default is an option.  One that no call in `src/`,
 `tests/` or `demos/` passes, by keyword or by position, is never used
 with any value but its default, so it belongs in the code as a
 constant.  Calls are matched by the name of the function (or of the
 class, for `__init__`), so a call to a same-named function elsewhere
-also counts as a use.
+also counts as a use.  Likewise a key of a subcommand's config schema
+that its runner never reads as `params["key"]` sets nothing.
 """
 
 import ast
 import os
+
+from ptlab import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "ptlab")
@@ -92,3 +95,18 @@ def test_every_option_is_set_by_a_caller():
                         for n_pos, kws in calls.get(callee, ()))]
     assert not unset, ("options no caller sets (make them constants): "
                        + ", ".join(unset))
+
+
+def test_every_config_key_is_read_by_its_runner():
+    tree = _parse(os.path.join(PACKAGE, "cli.py"))
+    runners = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    unread = []
+    for sub, schema in cli.SCHEMAS.items():
+        runner = runners[cli.RUNNERS[sub].__name__]
+        read = {node.slice.value for node in ast.walk(runner)
+                if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name) and node.value.id == "params"
+                and isinstance(node.slice, ast.Constant)}
+        unread += [f"{sub}.{key}" for key in schema if key not in read]
+    assert not unread, "config keys no runner reads: " + ", ".join(unread)
