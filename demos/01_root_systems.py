@@ -11,8 +11,9 @@ from ptlab.rootsys import build_cartan_weyl, build_root_system
 
 for family, rank in [("A", 2), ("B", 2), ("C", 3), ("D", 4), ("G2", 2)]:
     rs = build_root_system(family, rank)
+    n_long = int(rs.long.sum())
     print(f"{family}_{rank}: {rs.n_roots} roots "
-          f"({len(rs.short_roots)} short, {len(rs.long_roots)} long)")
+          f"({rs.n_roots - n_long} short, {n_long} long)")
 
 # the matrix representation carries the trace normalization
 # tr(H_i H_j) = delta_ij, tr(E_a E_-a) = 1

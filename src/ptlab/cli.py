@@ -229,6 +229,8 @@ def _c(z):
 
 def run_spectra(params, seed, output_dir):
     model = params["model"]
+    if params["metric"] and model == "monomial":
+        raise ConfigurationError("metric search applies to Fock-space models only")
     if model == "monomial":
         m = spectra.MonomialModel(N=params["N"], g=params["g"],
                                   half_width=params["half_width"],
@@ -248,8 +250,6 @@ def run_spectra(params, seed, output_dir):
            "dim": params["dim"] if model != "monomial" else None,
            **rep.to_dict()}
     if params["metric"]:
-        if model == "monomial":
-            raise ConfigurationError("metric search applies to Fock-space models only")
         res = spectra.metric_search(build(params["dim"]))
         doc["metric"] = {"residual": res.residual,
                          "converged": res.converged,

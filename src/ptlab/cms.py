@@ -9,8 +9,7 @@ for the integrability checks.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +63,10 @@ class PotentialKind(enum.Enum):
 
 @dataclass(frozen=True)
 class OrbitCouplings:
-    """Hermitian (g) and deformation (gtilde) couplings per Weyl orbit."""
+    """Hermitian (g) and deformation (gtilde) couplings per Weyl orbit.
+
+    A long coupling left as None takes the short value.
+    """
 
     g_short: float = 0.0
     g_long: float | None = None
@@ -75,38 +77,27 @@ class OrbitCouplings:
         # a NaN force never trips the solver's step-size stop
         require_finite(**{k: v for k, v in vars(self).items() if v is not None})
 
-    def g(self, orbit):
-        if orbit == "long" and self.g_long is not None:
-            return self.g_long
-        return self.g_short
-
-    def gtilde(self, orbit):
-        if orbit == "long" and self.gtilde_long is not None:
-            return self.gtilde_long
-        return self.gtilde_short
+    def per_root(self, rs: RootSystem):
+        """(g, gtilde) per root of `rs`; long roots take the long values when set."""
+        g_long = self.g_short if self.g_long is None else self.g_long
+        gt_long = self.gtilde_short if self.gtilde_long is None else self.gtilde_long
+        return (np.where(rs.long, g_long, self.g_short),
+                np.where(rs.long, gt_long, self.gtilde_short))
 
 
 def effective_couplings(c: OrbitCouplings, rs: RootSystem):
-    """Squared couplings ghat^2 = g^2 + |alpha|^2 gtilde^2 / 2 per orbit.
+    """Squared couplings ghat^2 = g^2 + |alpha|^2 gtilde^2 / 2 per root.
 
     The factor 1/2 goes with the convention used throughout this module:
     potential sums run over the full root set while mu carries its 1/2
-    prefactor, so the orbit sums of the mu-squared identity effectively
-    run over positive roots.  With this choice the deformed Hamiltonian
+    prefactor, so the sums of the mu-squared identity effectively run
+    over positive roots.  With this choice the deformed Hamiltonian
     written with ghat and the -mu^2/2 term coincides exactly with the
-    bilinear i mu.p form for the rational potential.
-
-    Returns {"short": ghat_s^2, "long": ghat_l^2}; the long entry is
-    present only when the system has long roots.  ghat^2 may be negative.
+    bilinear i mu.p form for the rational potential.  ghat^2 may be
+    negative.
     """
-    out = {}
-    for orbit in ("short", "long"):
-        idx = rs.long_roots if orbit == "long" else rs.short_roots
-        if not idx:
-            continue
-        a2 = rs.orbit_length_sq(orbit)
-        out[orbit] = c.g(orbit) ** 2 + 0.5 * a2 * c.gtilde(orbit) ** 2
-    return out
+    g, gt = c.per_root(rs)
+    return g**2 + 0.5 * rs.length_sq * gt**2
 
 
 @dataclass(frozen=True)
@@ -116,37 +107,31 @@ class CMSSystem:
     couplings: OrbitCouplings
     q: np.ndarray
     p: np.ndarray
+    # read-only per-root couplings, built from root_system and couplings
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    gtilde: np.ndarray = field(init=False, repr=False, compare=False)
+    ghat_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    ghat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=complex))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=complex))
         if self.q.shape != (self.root_system.dim,) or self.p.shape != self.q.shape:
             raise ConfigurationError("q, p must have the root representation dimension")
+        g, gtilde = self.couplings.per_root(self.root_system)
+        ghat_sq = effective_couplings(self.couplings, self.root_system)
+        for name, a in [("g", g), ("gtilde", gtilde), ("ghat_sq", ghat_sq),
+                        ("ghat", np.sqrt(ghat_sq.astype(complex)))]:
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self):
         return self.root_system.dim
 
     def at(self, q, p):
-        """The same system at (q, p); the per-root coupling arrays carry over."""
-        moved = replace(self, q=np.asarray(q, dtype=complex), p=np.asarray(p, dtype=complex))
-        if "_root_couplings" in self.__dict__:
-            moved.__dict__["_root_couplings"] = self._root_couplings
-        return moved
-
-    @functools.cached_property
-    def _root_couplings(self):
-        """Read-only (g, gtilde, ghat^2, ghat) per root, built once per system."""
-        rs, c = self.root_system, self.couplings
-        eff = effective_couplings(c, rs)
-        orbits = [rs.orbit_of(i) for i in range(rs.n_roots)]
-        ghat_sq = np.array([eff[o] for o in orbits])
-        arrays = (np.array([c.g(o) for o in orbits]),
-                  np.array([c.gtilde(o) for o in orbits]),
-                  ghat_sq, np.sqrt(ghat_sq.astype(complex)))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        """The same system at (q, p)."""
+        return replace(self, q=q, p=p)
 
 
 def _check_nonsingular(sys: CMSSystem, q=None):
@@ -169,29 +154,21 @@ def _check_nonsingular(sys: CMSSystem, q=None):
 
 def _mu(sys: CMSSystem, f):
     """mu = (1/2) sum_a gtilde_a f(a.q) a from f at a checked point."""
-    return 0.5 * ((sys._root_couplings[1] * f) @ sys.root_system.roots)
+    return 0.5 * ((sys.gtilde * f) @ sys.root_system.roots)
 
 
 def verify_mu_identity(sys: CMSSystem):
-    """|mu^2 - sum over orbits of |a|^2 gtilde^2 sum_{a>0} V(a.q)|.
+    """|mu^2 - (1/2) sum_a |a|^2 gtilde_a^2 V(a.q)|.
 
-    The orbit sums run over positive roots (half the full root set, V
-    being even), which is the normalization under which the identity is
-    exact.  It is exact for the rational potential only; for the other
-    potentials the returned residual is generically large.
+    The sum runs over all roots, so with its 1/2 it is the sum over
+    positive roots (V being even), the normalization under which the
+    identity is exact.  It is exact for the rational potential only; for
+    the other potentials the returned residual is generically large.
     """
     rs = sys.root_system
     f = sys.potential.f(_check_nonsingular(sys))
     mu = _mu(sys, f)
-    V = f**2
-    rhs = 0.0
-    for orbit in ("short", "long"):
-        idx = sorted(rs.long_roots if orbit == "long" else rs.short_roots)
-        if not idx:
-            continue
-        a2 = rs.orbit_length_sq(orbit)
-        gt = sys.couplings.gtilde(orbit)
-        rhs = rhs + 0.5 * a2 * gt**2 * V[idx].sum()
+    rhs = 0.5 * (rs.length_sq * sys.gtilde**2 * f**2).sum()
     return float(abs(mu @ mu - rhs))
 
 
@@ -199,7 +176,7 @@ def _hamiltonian(sys: CMSSystem, aq, p):
     """(H, mu, (1/2) sum ghat^2 V) at a checked point, from one f(a.q)."""
     f = sys.potential.f(aq)
     mu = _mu(sys, f)
-    pot = 0.5 * (sys._root_couplings[2] * f**2).sum()
+    pot = 0.5 * (sys.ghat_sq * f**2).sum()
     return 0.5 * (p @ p) + pot + 1j * (mu @ p) - 0.5 * (mu @ mu), mu, pot
 
 
@@ -216,7 +193,7 @@ def hamiltonian_undeformed_form(sys: CMSSystem):
     """
     f = sys.potential.f(_check_nonsingular(sys))
     mu = _mu(sys, f)
-    pot = 0.5 * (sys._root_couplings[0] ** 2 * f**2).sum()
+    pot = 0.5 * (sys.g ** 2 * f**2).sum()
     return 0.5 * (sys.p @ sys.p) + pot + 1j * (mu @ sys.p)
 
 
@@ -234,7 +211,7 @@ def shifted_equivalence(sys: CMSSystem):
 
 def _force(sys: CMSSystem, f, fp):
     """-grad U with U = (1/2) sum ghat^2 f(a.q)^2, from f and f' at a checked point."""
-    return -((sys._root_couplings[2] * (f * fp)) @ sys.root_system.roots)
+    return -((sys.ghat_sq * (f * fp)) @ sys.root_system.roots)
 
 
 def _flow(sys: CMSSystem, p, f, fp):
@@ -248,7 +225,7 @@ def _flow(sys: CMSSystem, p, f, fp):
     roots = sys.root_system.roots
     qdot = p + 1j * _mu(sys, f)
     qddot = _force(sys, f, fp)
-    pdot = qddot - 0.5j * ((sys._root_couplings[1] * fp * (roots @ qdot)) @ roots)
+    pdot = qddot - 0.5j * ((sys.gtilde * fp * (roots @ qdot)) @ roots)
     return qdot, pdot, qddot
 
 
@@ -351,7 +328,7 @@ def _lax(sys: CMSSystem, basis: CartanWeylBasis):
     """
     _require_lax(sys)
     aq = _check_nonsingular(sys)
-    ghat = sys._root_couplings[3]
+    ghat = sys.ghat
     f, fp = sys.potential.f(aq), sys.potential.fprime(aq)
     qdot, _, qddot = _flow(sys, sys.p, f, fp)
     c = 1j * ghat * f
@@ -381,7 +358,7 @@ def conserved_charges(sys: CMSSystem, basis: CartanWeylBasis, k_max):
         raise ConfigurationError("k_max must be >= 1")
     f = sys.potential.f(_check_nonsingular(sys))
     L = _step_sum(basis, sys.p + 1j * _mu(sys, f),
-                  1j * sys._root_couplings[3] * f)
+                  1j * sys.ghat * f)
     out = []
     Lk = np.eye(L.shape[0], dtype=complex)
     for _ in range(k_max):

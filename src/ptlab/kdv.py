@@ -260,10 +260,10 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     is the mean of its Fourier modes.  These are local bounds: over a run
     the errors of its steps add up, which matters for fields with content
     up to the cut (a kink, or too few points).  `dt` sets the record grid:
-    snapshots (n_snapshots of them, evenly spaced, and the end) and
-    charge records (every monitor_stride * dt, and the end) fall on
-    multiples of dt, read from the solver's dense output; the solver
-    picks its own steps.
+    snapshots (n_snapshots of them, at steps j * n_steps // (n_snapshots - 1)
+    for j = 0 .. n_snapshots - 1) and charge records (every
+    monitor_stride * dt, and the end) fall on multiples of dt, read from
+    the solver's dense output; the solver picks its own steps.
 
     Every right-hand-side evaluation takes one batched inverse FFT of
     rows (ik)^m u_hat, evaluates a pointwise formula on them and makes
@@ -284,7 +284,7 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     u_x.
 
     Raises ConfigurationError for a NaN or infinite eps, t_final or dt,
-    and for fewer than 2 snapshots.
+    and for fewer than 2 snapshots or more than n_steps + 1.
     Raises BlowUpError, with the last accepted time as `t_last`, when
     the step size collapses or the L2 norm of u grows by more than 1e6
     over the initial one (a NaN counts as growth), and BranchError,
@@ -300,10 +300,11 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError("t_final must be an integer number of steps")
-    if n_snapshots < 2:
-        raise ConfigurationError(f"need at least 2 snapshots, got {n_snapshots}")
-    snap_every = max(1, n_steps // (n_snapshots - 1))
-    snap_at = {k * dt for k in (*range(snap_every, n_steps, snap_every), n_steps)}
+    if not 2 <= n_snapshots <= n_steps + 1:
+        raise ConfigurationError(f"need 2 to {n_steps + 1} snapshots for {n_steps} steps, "
+                                 f"got {n_snapshots}")
+    # snapshot j at step j * n_steps // (n_snapshots - 1); j = 0 is the start
+    snap_at = {(j * n_steps // (n_snapshots - 1)) * dt for j in range(1, n_snapshots)}
     mon_at = {k * dt for k in (*range(0, n_steps, monitor_stride), n_steps)}
     stops = sorted(snap_at | mon_at, key=abs)
 

@@ -13,23 +13,19 @@ with w_a the root for the A-series and root/sqrt(2) for B/C/D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class RootSystem:
     family: str
     rank: int
-    roots: np.ndarray              # (n_roots, dim)
-    simple_roots: tuple            # indices into roots
-    short_roots: frozenset = field(default_factory=frozenset)
-    long_roots: frozenset = field(default_factory=frozenset)
+    roots: np.ndarray              # (n_roots, dim), positives then negatives
+    long: np.ndarray               # (n_roots,) bool; all False when simply laced
 
     @property
     def dim(self):
@@ -43,21 +39,23 @@ class RootSystem:
     def n_positive(self):
         return self.n_roots // 2
 
+    @property
+    def length_sq(self):
+        """|alpha|^2 per root."""
+        return np.einsum("ij,ij->i", self.roots, self.roots)
+
+    @property
+    def simple_roots(self):
+        """Indices of the positive roots that are not a sum of two positive
+        roots; exact, as every coordinate is a small integer."""
+        pos = self.roots[:self.n_positive]
+        sums = {tuple(a + b) for a in pos for b in pos}
+        return tuple(i for i, r in enumerate(pos) if tuple(r) not in sums)
+
     def negative_index(self, i):
         """Index of -roots[i]; roots are stored as positives then negatives."""
         n = self.n_positive
         return i + n if i < n else i - n
-
-    def orbit_of(self, i):
-        """Classify root i as 'short' or 'long' by its Weyl orbit."""
-        if i in self.long_roots:
-            return "long"
-        return "short"
-
-    def orbit_length_sq(self, orbit):
-        idx = self.long_roots if orbit == "long" else self.short_roots
-        i = next(iter(idx))
-        return float(self.roots[i] @ self.roots[i])
 
 
 def _positive_roots(family, rank):
@@ -117,53 +115,9 @@ def build_root_system(family, rank):
 
     pos = _positive_roots(family, rank)
     roots = np.array(pos + [-v for v in pos])
+    # squared lengths are small integers, so the comparison is exact
     lensq = np.einsum("ij,ij->i", roots, roots)
-    if np.ptp(lensq) < _TOL:
-        short = frozenset(range(len(roots)))
-        long_ = frozenset()
-    else:
-        lmax = lensq.max()
-        long_ = frozenset(int(i) for i in np.nonzero(lensq > lmax - _TOL)[0])
-        short = frozenset(range(len(roots))) - long_
-
-    simple = _simple_root_indices(family, rank, roots)
-    return RootSystem(family=family, rank=rank, roots=roots,
-                      simple_roots=simple, short_roots=short, long_roots=long_)
-
-
-def _find_root(roots, v):
-    d = np.abs(roots - v).sum(axis=1)
-    i = int(np.argmin(d))
-    if d[i] > 1e-9:
-        raise ConfigurationError("vector is not a root")
-    return i
-
-
-def _simple_root_indices(family, rank, roots):
-    ell = rank
-    vs = []
-    if family == "A":
-        for i in range(ell):
-            v = np.zeros(ell + 1)
-            v[i], v[i + 1] = 1.0, -1.0
-            vs.append(v)
-    elif family in ("B", "C", "D"):
-        for i in range(ell - 1):
-            v = np.zeros(ell)
-            v[i], v[i + 1] = 1.0, -1.0
-            vs.append(v)
-        v = np.zeros(ell)
-        if family == "B":
-            v[ell - 1] = 1.0
-        elif family == "C":
-            v[ell - 1] = 2.0
-        else:
-            v[ell - 2], v[ell - 1] = 1.0, 1.0
-        vs.append(v)
-    else:  # G2
-        vs.append(np.array([0.0, 1.0, -1.0]))
-        vs.append(np.array([1.0, -2.0, 1.0]))
-    return tuple(_find_root(roots, v) for v in vs)
+    return RootSystem(family=family, rank=rank, roots=roots, long=lensq > lensq.min())
 
 
 def reflect(root, mirror):

@@ -16,7 +16,8 @@ equations of motion (coupling arrays rebuilt per call) and Lax pair
 (per-root loops over the step matrices) for the cached and stacked
 ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
 (q, qdot), and the stepping loop over scipy's `DOP853` solver object
-for the one with its own tableau and controller.
+for the one with its own tableau and controller, and the textbook
+simple-root tables for the derived simple roots.
 """
 
 from __future__ import annotations
@@ -403,6 +404,37 @@ def biorthogonal_metric(H):
 
 
 # ---------------------------------------------------------------------------
+# reference simple roots
+# ---------------------------------------------------------------------------
+
+def reference_simple_roots(family, rank):
+    """The textbook simple roots of (family, rank), in the coordinates of
+    `ptlab.rootsys`: e_i - e_(i+1), closed by e_l (B), 2 e_l (C) or
+    e_(l-1) + e_l (D); G2 takes the short e_2 - e_3 and the long
+    e_1 - 2 e_2 + e_3."""
+    if family == "G2":
+        return [np.array([0.0, 1.0, -1.0]), np.array([1.0, -2.0, 1.0])]
+    ell = rank
+    d = ell + 1 if family == "A" else ell
+    n_chain = ell if family == "A" else ell - 1
+    out = []
+    for i in range(n_chain):
+        v = np.zeros(d)
+        v[i], v[i + 1] = 1.0, -1.0
+        out.append(v)
+    if family != "A":
+        v = np.zeros(d)
+        if family == "B":
+            v[ell - 1] = 1.0
+        elif family == "C":
+            v[ell - 1] = 2.0
+        else:
+            v[ell - 2], v[ell - 1] = 1.0, 1.0
+        out.append(v)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # reference CMS equations of motion and Lax pair
 # ---------------------------------------------------------------------------
 
@@ -424,14 +456,23 @@ def _reference_check_nonsingular(sys, q=None):
 
 
 def _reference_per_root(sys):
-    """(gtilde, ghat^2) per root, rebuilt from the Weyl orbits."""
-    from ptlab import cms
+    """(gtilde, ghat^2) per root, rebuilt root by root from |alpha|^2.
 
+    A root is long when its squared length exceeds the smallest one; the
+    couplings come straight from the `OrbitCouplings` fields.
+    """
     rs, c = sys.root_system, sys.couplings
-    eff = cms.effective_couplings(c, rs)
-    orbits = [rs.orbit_of(i) for i in range(rs.n_roots)]
-    return (np.array([c.gtilde(o) for o in orbits]),
-            np.array([eff[o] for o in orbits]))
+    lensq = [float(r @ r) for r in rs.roots]
+    shortest = min(lensq)
+    gtilde, ghat_sq = [], []
+    for a2 in lensq:
+        g, gt = c.g_short, c.gtilde_short
+        if a2 > shortest:
+            g = g if c.g_long is None else c.g_long
+            gt = gt if c.gtilde_long is None else c.gtilde_long
+        gtilde.append(gt)
+        ghat_sq.append(g**2 + 0.5 * a2 * gt**2)
+    return np.array(gtilde), np.array(ghat_sq)
 
 
 def _reference_mu_vector(sys, q):
@@ -451,8 +492,8 @@ def _reference_mu_jacobian(sys, q):
 def reference_equations_of_motion(sys, q=None, p=None):
     """(qdot, pdot) of the deformed CMS flow as ptlab first computed them.
 
-    The per-root coupling arrays are rebuilt from the Weyl orbits on every
-    call, and mu, its Jacobian and the potential gradient each evaluate
+    The per-root coupling arrays are rebuilt from the root lengths on
+    every call, and mu, its Jacobian and the potential gradient each evaluate
     the potential (and run the singularity check) on their own.
     """
     rs = sys.root_system

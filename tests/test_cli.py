@@ -221,6 +221,25 @@ def test_kdv_evolve_run(tmp_path):
     assert (tmp_path / "snapshot_000.csv").exists()
 
 
+def test_kdv_writes_the_snapshot_count_asked_for(tmp_path):
+    # 10 steps in 3 intervals: steps 0, 3, 6 and 10
+    code = run_main(tmp_path, "kdv", "--model", "fring", "--n", "64",
+                    "--t-end", "0.01", "--dt", "1e-3", "--snapshots", "4")
+    assert code == cli.EXIT_OK
+    snaps = sorted(tmp_path.glob("snapshot_*.csv"))
+    assert [p.name for p in snaps] == [f"snapshot_{j:03d}.csv" for j in range(4)]
+
+
+def test_monomial_metric_refused_before_eigensolves(tmp_path, capsys, monkeypatch):
+    def no_eigensolve(*args):
+        raise AssertionError("a grid eigensolve ran before the refusal")
+
+    monkeypatch.setattr(spectra, "_grid_eigs", no_eigensolve)
+    code = run_main(tmp_path, "spectra", "--model", "monomial", "--metric", "true")
+    assert code == cli.EXIT_CONFIG
+    assert "Fock-space models only" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model, eps, conserved", [
     ("bender", "2", False), ("bender", "1", True), ("fring", "3", True)])
 def test_kdv_manifest_labels_charge_conservation(tmp_path, model, eps, conserved):
@@ -338,6 +357,7 @@ _NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "1
     ["susy", "--n", "1"],
     ["kdv", "--model", "fring", "--snapshots", "0"],
     ["kdv", "--model", "fring", "--snapshots", "-2"],
+    ["kdv", "--model", "fring", "--t-end", "0.01", "--dt", "1e-3", "--snapshots", "12"],
 ])
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
     # k must satisfy 1 <= k < n - 1 on every grid engine and 1 <= k <= dim

@@ -24,6 +24,10 @@ def random_state(rng, rs, potential, q_scale=2.0):
     raise RuntimeError("sampling failed")
 
 
+# long couplings distinct from the short ones; simply laced systems ignore them
+LONG = dict(g_long=1.6, gtilde_long=0.35)
+
+
 def make(family, rank, potential="rational", g=1.1, gtilde=0.7, **kw):
     rs = build_root_system(family, rank)
     couplings = cms.OrbitCouplings(g_short=g, gtilde_short=gtilde, **kw)
@@ -39,15 +43,32 @@ def make(family, rank, potential="rational", g=1.1, gtilde=0.7, **kw):
 def test_effective_couplings_simply_laced():
     sys = make("A", 2, g=1.0, gtilde=1.0)
     eff = cms.effective_couplings(sys.couplings, sys.root_system)
-    # |alpha|^2 = 2 for the A series: ghat^2 = g^2 + gtilde^2
-    assert eff == {"short": pytest.approx(2.0)}
+    # |alpha|^2 = 2 for the A series: ghat^2 = g^2 + gtilde^2 on every root
+    assert eff.shape == (6,)
+    assert np.all(eff == pytest.approx(2.0))
 
 
 def test_effective_couplings_two_orbits():
     sys = make("B", 2, g=1.0, gtilde=1.0, g_long=2.0, gtilde_long=0.5)
-    eff = cms.effective_couplings(sys.couplings, sys.root_system)
-    assert eff["short"] == pytest.approx(1.0 + 0.5 * 1.0 * 1.0)
-    assert eff["long"] == pytest.approx(4.0 + 0.5 * 2.0 * 0.25)
+    rs = sys.root_system
+    eff = cms.effective_couplings(sys.couplings, rs)
+    assert np.all(eff[~rs.long] == pytest.approx(1.0 + 0.5 * 1.0 * 1.0))
+    assert np.all(eff[rs.long] == pytest.approx(4.0 + 0.5 * 2.0 * 0.25))
+    g, gtilde = sys.couplings.per_root(rs)
+    assert np.array_equal(g, np.where(rs.long, 2.0, 1.0))
+    assert np.array_equal(gtilde, np.where(rs.long, 0.5, 1.0))
+    # the system carries the same arrays, read-only, to every point
+    moved = sys.at(np.arange(1.0, 3.0), np.ones(2))
+    for s in (sys, moved):
+        assert np.array_equal(s.ghat_sq, eff) and np.array_equal(s.gtilde, gtilde)
+        assert np.allclose(s.ghat ** 2, eff, rtol=1e-15, atol=0)
+        assert not s.ghat.flags.writeable
+
+
+def test_unset_long_couplings_take_the_short_values():
+    sys = make("C", 3, g=0.8, gtilde=0.6)
+    g, gtilde = sys.couplings.per_root(sys.root_system)
+    assert np.all(g == 0.8) and np.all(gtilde == 0.6)
 
 
 @pytest.mark.parametrize("kind", list(cms.PotentialKind))
@@ -78,10 +99,11 @@ def test_singular_configuration_rejected():
 # the mu-vector identity
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2),
+                                         ("C", 3), ("D", 4), ("G2", 2)])
 def test_mu_identity_rational(family, rank):
     rng = np.random.default_rng(7)
-    sys = make(family, rank)
+    sys = make(family, rank, **LONG)
     for _ in range(25):
         q, p = random_state(rng, sys.root_system, sys.potential)
         assert cms.verify_mu_identity(sys.at(q, p)) < 1e-10
@@ -103,10 +125,11 @@ def test_mu_identity_fails_otherwise(potential):
 # Hamiltonian forms
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2)])
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2),
+                                         ("C", 3), ("D", 4), ("G2", 2)])
 def test_deformed_equals_bilinear_form_rational(family, rank):
     rng = np.random.default_rng(9)
-    sys = make(family, rank)
+    sys = make(family, rank, **LONG)
     for _ in range(20):
         q, p = random_state(rng, sys.root_system, sys.potential)
         s = sys.at(q, p)

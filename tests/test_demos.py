@@ -16,6 +16,7 @@ EXPECTED = {
                                "shifted-form residual  0.00e+00",
     "03_partner_potentials.py": "level",
     "04_nonhermitian_spectra.py": "level",
+    "05_deformed_kdv.py": "eps=3 traveling wave exists: False",
 }
 
 

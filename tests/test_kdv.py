@@ -299,6 +299,14 @@ def test_integrating_factor_stage_rows(monkeypatch, flow, eps, rows):
     assert Counter(widths) == Counter({rows: len(evals)}) + Counter({2: 2})
 
 
+@pytest.mark.parametrize("n_snapshots, steps", [
+    (2, [0, 10]), (3, [0, 5, 10]), (4, [0, 3, 6, 10]), (6, [0, 2, 4, 6, 8, 10]),
+    (11, list(range(11)))])
+def test_snapshot_j_at_step_j_n_steps_over_intervals(n_snapshots, steps):
+    ev = kdv.evolve(cosine_field(), "bender", 1.0, 0.01, 1e-3, n_snapshots=n_snapshots)
+    assert list(ev.times) == [k * 1e-3 for k in steps]
+
+
 def test_snapshots_and_monitor_cadence():
     f = cosine_field()
     ev = kdv.evolve(f, "bender", 1.0, 0.1, 1e-3, n_snapshots=6)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_simple_roots
 from ptlab.errors import CapabilityError, ConfigurationError
 from ptlab.rootsys import (CartanWeylBasis, build_cartan_weyl,
                            build_root_system, reflect)
@@ -40,15 +41,19 @@ def test_negation_closure(family, rank):
 def test_length_orbits(family, rank):
     rs = build_root_system(family, rank)
     lensq = np.einsum("ij,ij->i", rs.roots, rs.roots)
+    assert np.array_equal(rs.length_sq, lensq)
+    assert rs.long.dtype == bool and rs.long.shape == (rs.n_roots,)
     if family in ("A", "D"):
         assert np.ptp(lensq) < 1e-12
-        assert not rs.long_roots
+        assert not rs.long.any()
     else:
-        assert rs.long_roots and rs.short_roots
-        ratio = rs.orbit_length_sq("long") / rs.orbit_length_sq("short")
-        assert ratio == pytest.approx(3.0 if family == "G2" else 2.0)
-    assert rs.short_roots | rs.long_roots == set(range(rs.n_roots))
-    assert not (rs.short_roots & rs.long_roots)
+        assert rs.long.any() and not rs.long.all()
+        # one length per orbit, in the ratio 2 (B, C) or 3 (G2)
+        long_sq, short_sq = set(lensq[rs.long]), set(lensq[~rs.long])
+        assert len(long_sq) == len(short_sq) == 1
+        assert long_sq.pop() / short_sq.pop() == pytest.approx(3.0 if family == "G2" else 2.0)
+    # -a lies in the orbit of a
+    assert all(rs.long[rs.negative_index(i)] == rs.long[i] for i in range(rs.n_roots))
 
 
 @pytest.mark.parametrize("family,rank", FAMILY_RANKS)
@@ -62,6 +67,17 @@ def test_simple_roots_span_positives(family, rank):
         assert np.allclose(simple.T @ coeffs, rs.roots[i], atol=1e-9)
         assert np.all(coeffs > -1e-9)
         assert np.allclose(coeffs, np.round(coeffs), atol=1e-9)
+
+
+@pytest.mark.parametrize("family,rank",
+                         [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 6)]
+                         + [("C", r) for r in range(2, 6)] + [("D", r) for r in range(3, 7)]
+                         + [("G2", 2)])
+def test_simple_roots_match_reference_table(family, rank):
+    rs = build_root_system(family, rank)
+    derived = {tuple(rs.roots[i]) for i in rs.simple_roots}
+    assert len(derived) == len(rs.simple_roots) == rank
+    assert derived == {tuple(v) for v in reference_simple_roots(family, rank)}
 
 
 @given(st.sampled_from(FAMILY_RANKS), st.data())

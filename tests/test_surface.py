@@ -1,4 +1,5 @@
-"""Every option of ptlab has a caller, and every config key a reader.
+"""Every option of ptlab has a caller, every config key a reader, and
+every public name a user.
 
 A parameter with a default is an option.  One that no call in `src/`,
 `tests/` or `demos/` passes, by keyword or by position, is never used
@@ -6,7 +7,9 @@ with any value but its default, so it belongs in the code as a
 constant.  Calls are matched by the name of the function (or of the
 class, for `__init__`), so a call to a same-named function elsewhere
 also counts as a use.  Likewise a key of a subcommand's config schema
-that its runner never reads as `params["key"]` sets nothing.
+that its runner never reads as `params["key"]` sets nothing.  A public
+function, class or method that nothing outside its own definition names
+is dead code.
 """
 
 import ast
@@ -110,3 +113,50 @@ def test_every_config_key_is_read_by_its_runner():
                 and isinstance(node.slice, ast.Constant)}
         unread += [f"{sub}.{key}" for key in schema if key not in read]
     assert not unread, "config keys no runner reads: " + ", ".join(unread)
+
+
+def _public_definitions(tree, module):
+    """(name, label) for each public function, class and method."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not child.name.startswith("_")):
+                out.append((child.name, f"{prefix}.{child.name}"))
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}.{child.name}")
+
+    visit(tree, module)
+    return out
+
+
+def _references():
+    """Names used as a name or an attribute, outside the definitions of that name."""
+    used = set()
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id not in enclosing:
+                used.add(child.id)
+            elif isinstance(child, ast.Attribute) and child.attr not in enclosing:
+                used.add(child.attr)
+            inner = enclosing
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = enclosing | {child.name}
+            visit(child, inner)
+
+    for top in CALLERS:
+        for path in _python_files(os.path.join(ROOT, top)):
+            visit(_parse(path), frozenset())
+    return used
+
+
+def test_every_public_name_is_used():
+    used = _references()
+    defined = [d for path in _python_files(PACKAGE)
+               for d in _public_definitions(_parse(path),
+                                            os.path.splitext(os.path.basename(path))[0])]
+    assert defined, f"no public definitions found under {PACKAGE}"
+    unused = [label for name, label in defined if name not in used]
+    assert not unused, "public names nothing uses (remove them): " + ", ".join(unused)
