@@ -8,8 +8,9 @@ for the integrability checks.
 
 from __future__ import annotations
 
+import copy
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,10 +115,7 @@ class CMSSystem:
     ghat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=complex))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=complex))
-        if self.q.shape != (self.root_system.dim,) or self.p.shape != self.q.shape:
-            raise ConfigurationError("q, p must have the root representation dimension")
+        self._place(self.q, self.p)
         g, gtilde = self.couplings.per_root(self.root_system)
         ghat_sq = effective_couplings(self.couplings, self.root_system)
         for name, a in [("g", g), ("gtilde", gtilde), ("ghat_sq", ghat_sq),
@@ -129,9 +127,17 @@ class CMSSystem:
     def dim(self):
         return self.root_system.dim
 
+    def _place(self, q, p):
+        object.__setattr__(self, "q", np.asarray(q, dtype=complex))
+        object.__setattr__(self, "p", np.asarray(p, dtype=complex))
+        if self.q.shape != (self.root_system.dim,) or self.p.shape != self.q.shape:
+            raise ConfigurationError("q, p must have the root representation dimension")
+
     def at(self, q, p):
-        """The same system at (q, p)."""
-        return replace(self, q=q, p=p)
+        """The same system at (q, p), sharing this one's per-root couplings."""
+        new = copy.copy(self)
+        new._place(q, p)
+        return new
 
 
 def _check_nonsingular(sys: CMSSystem, q=None):

@@ -1,12 +1,15 @@
-"""Finite-difference operators on uniform 1D grids.
+"""Finite-difference operators on uniform 1D grids, and the one banded
+eigensolver of the grid and Fock engines.
 
-Shared by the partner-potential and spectral engines.  A grid
-Hamiltonian -d^2/dx^2 + V is held only as its lower bands, a (w+1, n)
-array with bands[d, j] = H[j + d, j]; the operator is complex-symmetric
-even for complex V.  Dirichlet boundaries are realized by zero extension
-(stencil rows near the edge drop out-of-range points).  Eigenpairs come
-from shift-invert Arnoldi (ARPACK) with a fixed start vector, so reruns
-are byte-identical.
+A grid Hamiltonian -d^2/dx^2 + V is held only as its lower bands, a
+(w+1, n) array with bands[d, j] = H[j + d, j], which `band_matvec` reads;
+the operator is complex-symmetric even for complex V.  Dirichlet
+boundaries are realized by zero extension (stencil rows near the edge
+drop out-of-range points).  `eigenpairs_near` takes full bands: row w + d
+of a (2w+1, n) array holds diagonal d = -w..w in its first n - |d|
+entries, and grid operators pass their lower bands `mirrored`.  It runs
+shift-invert Arnoldi (ARPACK) from a fixed start vector, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -68,17 +71,28 @@ def band_matvec(bands, u):
     return out
 
 
+def mirrored(bands):
+    """Full bands of the symmetric operator with lower bands `bands`."""
+    return np.vstack((bands[:0:-1], bands))
+
+
+def band_matrix(bands):
+    """The sparse (CSC) matrix of full bands."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    offsets = list(range(-w, w + 1))
+    return sp.diags_array([bands[w + d, :n - abs(d)] for d in offsets],
+                          offsets=offsets, shape=(n, n), format="csc")
+
+
 def eigenpairs_near(bands, k, sigma, vectors=False):
-    """The k eigenvalues nearest sigma (unordered), and with `vectors` the
-    eigenvectors as columns: shift-invert Arnoldi on the sparse LU of
-    H - sigma.  ARPACK needs 1 <= k < n - 1."""
-    w, n = bands.shape[0] - 1, bands.shape[1]
+    """The k eigenvalues nearest sigma (unordered) of the matrix with full
+    bands `bands`, and with `vectors` the eigenvectors as columns:
+    shift-invert Arnoldi on the sparse LU of H - sigma.  ARPACK needs
+    1 <= k < n - 1."""
+    n = bands.shape[1]
     if not 1 <= k < n - 1:
         raise ConfigurationError(f"k must satisfy 1 <= k < n - 1 = {n - 1}, got {k}")
-    offsets = list(range(-w, w + 1))
-    H = sp.diags_array([bands[abs(d), :n - abs(d)] for d in offsets],
-                       offsets=offsets, shape=(n, n), format="csc")
     # no parity: an even start vector reaches the odd levels of a
     # symmetric potential only through roundoff
     v0 = np.random.default_rng(0).standard_normal(n)
-    return spla.eigs(H, k=k, sigma=sigma, v0=v0, return_eigenvectors=vectors)
+    return spla.eigs(band_matrix(bands), k=k, sigma=sigma, v0=v0, return_eigenvectors=vectors)

@@ -4,7 +4,9 @@ Grid spectra of the monomial family p^2 - g(iz)^N, truncated Fock-space
 matrices of the single-site reggeon cubic model and the bilinear
 (Swanson-type) model, the real-or-conjugate-pair classification that an
 unbroken antilinear symmetry enforces, and a numerical search for a
-Hermitizing similarity transform (metric).
+Hermitizing similarity transform (metric).  Grid and Fock operators are
+both held as bands and solved by `gridops.eigenpairs_near`; a dense Fock
+matrix is built only for the metric search and whole-matrix checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, require_finite
-from .gridops import eigenpairs_near, schrodinger_bands
+from .gridops import band_matrix, eigenpairs_near, mirrored, schrodinger_bands
 
 
 # ---------------------------------------------------------------------------
@@ -61,20 +63,13 @@ def classify_spectrum(eigs, tol):
         return Classification.ALL_REAL, pairing
     unmatched = set(complex_idx)
     for i in sorted(unmatched, key=lambda k: (eigs[k].real, eigs[k].imag)):
-        if i not in unmatched:
+        others = [j for j in unmatched if j != i]
+        if i not in unmatched or not others:
             continue
-        best, bestd = None, np.inf
-        for j in unmatched:
-            if j == i:
-                continue
-            d = abs(eigs[j] - np.conj(eigs[i]))
-            if d < bestd:
-                best, bestd = j, d
-        if best is not None and bestd < 2 * tol * (1.0 + abs(eigs[i])):
-            pairing[i] = best
-            pairing[best] = i
-            unmatched.discard(i)
-            unmatched.discard(best)
+        best = min(others, key=lambda j: abs(eigs[j] - np.conj(eigs[i])))
+        if abs(eigs[best] - np.conj(eigs[i])) < 2 * tol * (1.0 + abs(eigs[i])):
+            pairing[i], pairing[best] = best, i
+            unmatched -= {i, best}
     if unmatched:
         return Classification.MIXED, pairing
     return Classification.CONJUGATE_PAIRS, pairing
@@ -124,7 +119,7 @@ def _grid_eigs(model: MonomialModel, n, k):
     dz = z[1] - z[0]
     bands = schrodinger_bands(model.potential(z), dz, acc=4)
     bands[0, [0, -1]] -= (1 / 12) / dz**2
-    ev = eigenpairs_near(bands, k, 0.0)
+    ev = eigenpairs_near(mirrored(bands), k, 0.0)
     return ev[np.argsort(np.abs(ev))]
 
 
@@ -145,12 +140,11 @@ def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
     extrap = (16.0 * e2 - e1) / 15.0
     change = np.abs(e2 - e1)
     flagged = [int(i) for i in np.nonzero(change > 1e-4)[0]]
-    rep = make_report(extrap, tol=tol, diagnostics={
+    return make_report(extrap, tol=tol, diagnostics={
         "grid_change": change.tolist(),
         "flagged": flagged,
         "n_grid": [model.n_grid, 2 * model.n_grid - 1],
     })
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +153,32 @@ def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
 
 @dataclass(frozen=True)
 class TruncatedFockOperator:
-    matrix: np.ndarray
+    """A number-basis matrix held as its full bands (see `gridops`)."""
+    bands: np.ndarray
 
     @property
-    def dim(self):
-        return self.matrix.shape[0]
+    def matrix(self):
+        """The dense matrix, for checks that need all of H."""
+        return band_matrix(self.bands).toarray()
 
-    def eigenvalues(self):
-        """All eigenvalues, sorted by modulus.
+    def eigenvalues(self, k):
+        """The k levels nearest -1/2 (just left of the reggeon vacuum E = 0,
+        where H - sigma is singular), 1 <= k <= dim, ordered by (|E|, Im E).
 
-        When the antilinear symmetry P H* P = H holds, the gauge
-        rotation diag(i^n) H diag(i^n)^-1 produces a real matrix; real
-        Schur iteration then returns exactly real eigenvalues except for
-        genuine conjugate pairs, so reality is not blurred by roundoff.
+        The gauge diag(i^n) H diag(i^n)^-1 multiplies band d by the exact
+        constant i^-d: when P H* P = H the rotated bands are real, and the
+        levels come out exactly real or as exact conjugate pairs.  ARPACK
+        needs k < dim - 1; larger k take a dense solve, by modulus.
         """
-        m = self.matrix
-        if np.isrealobj(m) or np.abs(m.imag).max() == 0.0:
-            ev = sla.eigvals(m.real)
-        else:
-            D = 1j ** np.arange(self.dim)
-            rotated = m * D[:, None] / D[None, :]
-            if np.abs(rotated.imag).max() < 1e-14 * max(1.0, np.abs(rotated.real).max()):
-                ev = sla.eigvals(rotated.real)
-            else:
-                ev = sla.eigvals(m)
-        return ev[np.argsort(np.abs(ev))]
+        w, n = self.bands.shape[0] // 2, self.bands.shape[1]
+        if not 1 <= k <= n:
+            raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {n}, got {k}")
+        rotated = self.bands * np.array([1, -1j, -1, 1j])[np.arange(-w, w + 1) % 4, None]
+        if not rotated.imag.any():
+            rotated = rotated.real
+        ev = (eigenpairs_near(rotated, k, -0.5) if k < n - 1
+              else sla.eigvals(band_matrix(rotated).toarray()))
+        return ev[np.lexsort((ev.imag, np.abs(ev)))][:k]
 
 
 def annihilation(dim):
@@ -207,11 +202,11 @@ def reggeon_single_site(delta, g, dim):
     require_finite(delta=delta, g=g)
     if dim < 4:
         raise ConfigurationError("dim must be at least 4")
-    n = np.arange(dim - 1, dtype=float)
-    off = 1j * g * n * np.sqrt(n + 1.0)
-    m = np.diag(delta * np.arange(dim, dtype=float)).astype(complex)
-    m += np.diag(off, 1) + np.diag(off, -1)
-    return TruncatedFockOperator(matrix=m)
+    n = np.arange(dim, dtype=float)
+    bands = np.zeros((3, dim), dtype=complex)
+    bands[0, :-1] = bands[2, :-1] = 1j * g * n[:-1] * np.sqrt(n[1:])
+    bands[1] = delta * n
+    return TruncatedFockOperator(bands)
 
 
 def swanson_model(delta, g, gtilde, dim):
@@ -219,21 +214,18 @@ def swanson_model(delta, g, gtilde, dim):
     require_finite(delta=delta, g=g, gtilde=gtilde)
     if dim < 4:
         raise ConfigurationError("dim must be at least 4")
-    n = np.arange(dim - 2, dtype=float)
-    s = np.sqrt((n + 1.0) * (n + 2.0))
-    m = np.diag(delta * np.arange(dim, dtype=float)).astype(complex)
-    m += np.diag(g * s, -2) + np.diag(gtilde * s, 2)
-    return TruncatedFockOperator(matrix=m)
+    n = np.arange(dim, dtype=float)
+    s = np.sqrt(n[1:-1] * n[2:])
+    bands = np.zeros((5, dim))
+    bands[0, :-2], bands[2], bands[4, :-2] = g * s, delta * n, gtilde * s
+    return TruncatedFockOperator(bands)
 
 
 def fock_report(build, dim, k=10, tol=1e-6):
     """Lowest-k levels of build(dim), 1 <= k <= dim, and their change when
     the truncation grows from dim to dim + 20."""
-    op = build(dim)
-    if not 1 <= k <= dim:
-        raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {dim}, got {k}")
-    eigs = op.eigenvalues()[:k]
-    change = np.abs(build(dim + 20).eigenvalues()[:k] - eigs)
+    eigs = build(dim).eigenvalues(k)
+    change = np.abs(build(dim + 20).eigenvalues(k) - eigs)
     return make_report(eigs, tol=tol, diagnostics={
         "truncation_change": change.tolist(),
         "flagged": [int(i) for i in np.nonzero(change > 1e-8)[0]],
@@ -257,16 +249,10 @@ def is_pt_symmetric_fock(matrix):
 def metric_ansatz_basis(dim, ansatz_dim=3):
     """Hermitian generator basis: N, a^2 + a+^2, i(a^2 - a+^2), then
     symmetrized quartic extensions."""
-    a = annihilation(dim)
-    ad = creation(dim)
-    basis = [number_op(dim),
-             a @ a + ad @ ad,
-             1j * (a @ a - ad @ ad)]
-    n_op = number_op(dim)
-    extras = [n_op @ n_op,
-              n_op @ (a @ a) + (ad @ ad) @ n_op,
-              1j * (n_op @ (a @ a) - (ad @ ad) @ n_op)]
-    basis.extend(extras)
+    a, ad, n_op = annihilation(dim), creation(dim), number_op(dim)
+    a2, ad2 = a @ a, ad @ ad
+    basis = [n_op, a2 + ad2, 1j * (a2 - ad2),
+             n_op @ n_op, n_op @ a2 + ad2 @ n_op, 1j * (n_op @ a2 - ad2 @ n_op)]
     if not 1 <= ansatz_dim <= len(basis):
         raise ConfigurationError(f"ansatz_dim must be in 1..{len(basis)}")
     return basis[:ansatz_dim]

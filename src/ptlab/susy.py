@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NodeError, require_finite
-from .gridops import band_matvec, derivative, eigenpairs_near, schrodinger_bands
+from .gridops import band_matvec, derivative, eigenpairs_near, mirrored, schrodinger_bands
 
 NODE_REL_TOL = 1e-12
 
@@ -125,7 +125,7 @@ class DiscretizedHamiltonian:
         lies left of the whole spectrum.
         """
         shift = (self.bands[0].real + 2.0 * self.bands[1:, 0].real.sum()).min()
-        ev, vec = eigenpairs_near(self.bands, k, shift, vectors=True)
+        ev, vec = eigenpairs_near(mirrored(self.bands), k, shift, vectors=True)
         order = np.argsort(ev.real)
         return ev[order], vec[:, order]
 

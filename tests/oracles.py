@@ -6,7 +6,8 @@ state, a symplectic 2x2 eigenproblem for the bilinear Fock model, exact
 ladder-operator algebra over symbolic integers for matrix elements,
 symbolic variational calculus for the deformed KdV right-hand side,
 dense finite-difference matrices (solved by LAPACK in the tests) for the
-banded grid operators, the original KdV stepper (one transform pair per
+banded grid operators, the dense gauge-rotated eigensolve for the banded
+shift-invert one of the truncated Fock matrices, the original KdV stepper (one transform pair per
 derivative, a validated field per stage) for the batched one, the
 matrix-exponential metric objective and normal equations (`expm` and
 `expm_frechet` per generator) for the eigendecomposition ones, the
@@ -88,6 +89,29 @@ def bilinear_levels(delta, g, gtilde, n_levels):
     om = bilinear_mode_frequency(delta, g, gtilde)
     n = np.arange(n_levels)
     return (n + 0.5) * om - delta / 2.0
+
+
+def reference_fock_eigenvalues(matrix):
+    """All eigenvalues of a dense truncated Fock matrix, sorted by modulus,
+    with the left and right eigenvectors (columns, same order) of the
+    matrix solved.
+
+    The dense solve the Fock engine used before its banded one.  When
+    P H* P = H, the gauge rotation diag(i^n) H diag(i^n)^-1 gives a real
+    matrix up to the rounding of `1j ** n`, and real Schur iteration
+    then keeps real levels real.
+    """
+    m = matrix
+    if np.isrealobj(m) or np.abs(m.imag).max() == 0.0:
+        m = m.real
+    else:
+        D = 1j ** np.arange(m.shape[0])
+        rotated = m * D[:, None] / D[None, :]
+        if np.abs(rotated.imag).max() < 1e-14 * max(1.0, np.abs(rotated.real).max()):
+            m = rotated.real
+    ev, vl, vr = sla.eig(m, left=True, right=True)
+    order = np.argsort(np.abs(ev))
+    return ev[order], vl[:, order], vr[:, order]
 
 
 # ---------------------------------------------------------------------------

@@ -145,15 +145,15 @@ def test_criterion_06_monomial_spectra():
 
 def test_criterion_07_fock_reality_and_stability():
     sb = lambda d: spectra.swanson_model(2.0, 0.5, 0.3, d)
-    s1 = sb(120).eigenvalues()[:10]
-    s2 = sb(160).eigenvalues()[:10]
+    s1 = sb(120).eigenvalues(10)
+    s2 = sb(160).eigenvalues(10)
     s_im = np.abs(s1.imag).max()
     s_stab = np.abs(s2 - s1).max()
     bog = np.abs(np.sort(s1.real)
                  - np.sort(bilinear_levels(2.0, 0.5, 0.3, 10).real)).max()
     rb = lambda d: spectra.reggeon_single_site(1.0, 0.3, d)
-    r1 = rb(60).eigenvalues()[:10]
-    r2 = rb(80).eigenvalues()[:10]
+    r1 = rb(60).eigenvalues(10)
+    r2 = rb(80).eigenvalues(10)
     r_im = np.abs(r1.imag).max()
     r_stab = np.abs(r2 - r1).max()
     ok = (s_im < 1e-8 and s_stab < 1e-8 and bog < 1e-6

@@ -65,6 +65,23 @@ def test_effective_couplings_two_orbits():
         assert not s.ghat.flags.writeable
 
 
+@pytest.mark.parametrize("family, potential", [("A", "hyperbolic"), ("B", "trigonometric")])
+def test_at_shares_couplings_and_matches_a_fresh_system(family, potential):
+    sys = make(family, 3, potential=potential, **LONG)
+    q = np.array([0.3, 1.1, 2.0, -1.4])[:sys.dim]
+    p = np.array([0.2, -0.4, 0.5, -0.3])[:sys.dim]
+    moved = sys.at(q, p)
+    for name in ("g", "gtilde", "ghat_sq", "ghat"):
+        assert getattr(moved, name) is getattr(sys, name)
+    assert not sys.q.any() and not sys.p.any()
+    fresh = cms.CMSSystem(root_system=sys.root_system, potential=sys.potential,
+                          couplings=sys.couplings, q=q, p=p)
+    assert cms.hamiltonian(moved) == cms.hamiltonian(fresh)
+    if family in cms.LAX_FAMILIES:
+        basis = build_cartan_weyl(sys.root_system)
+        assert cms.lax_residual(moved, basis) == cms.lax_residual(fresh, basis)
+
+
 def test_unset_long_couplings_take_the_short_values():
     sys = make("C", 3, g=0.8, gtilde=0.6)
     g, gtilde = sys.couplings.per_root(sys.root_system)

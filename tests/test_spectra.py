@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (biorthogonal_metric, bilinear_levels, cubic_ground_energy,
                      cubic_interaction_element, dense_schrodinger,
-                     reference_metric_normal_equations, reference_metric_objective,
-                     reference_metric_search)
+                     reference_fock_eigenvalues, reference_metric_normal_equations,
+                     reference_metric_objective, reference_metric_search)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
 
@@ -171,20 +171,77 @@ def test_reggeon_is_pt_symmetric():
 
 def test_reggeon_real_gauge_gives_exactly_real_eigenvalues():
     op = spectra.reggeon_single_site(delta=1.0, g=0.2, dim=40)
-    ev = op.eigenvalues()
+    ev = op.eigenvalues(5)
     # lowest levels of the convergent regime carry exactly zero
-    # imaginary part thanks to the real-Schur route
-    assert np.abs(ev[:5].imag).max() == 0.0
+    # imaginary part thanks to the real gauge-rotated bands
+    assert np.abs(ev.imag).max() == 0.0
 
 
 def test_swanson_matches_bogoliubov_oracle():
     delta, g, gtilde = 2.0, 0.3, 0.2
     op = spectra.swanson_model(delta, g, gtilde, dim=80)
     assert spectra.is_pt_symmetric_fock(op.matrix)
-    ev = op.eigenvalues()[:6]
+    ev = op.eigenvalues(6)
     ref = bilinear_levels(delta, g, gtilde, 6)
     assert np.abs(np.sort(ev.real) - np.sort(ref.real)).max() < 1e-10
     assert np.abs(ev.imag).max() < 1e-10
+
+
+FOCK_MODELS = {
+    "reggeon(2,0.3)": lambda d: spectra.reggeon_single_site(2.0, 0.3, d),
+    "swanson(2,0.3,0.2)": lambda d: spectra.swanson_model(2.0, 0.3, 0.2, d),
+    "swanson(2,0.5,0.3)": lambda d: spectra.swanson_model(2.0, 0.5, 0.3, d),
+    # the reggeon CLI default: three conjugate pairs among its ten levels
+    "reggeon(1,1)": lambda d: spectra.reggeon_single_site(1.0, 1.0, d),
+}
+
+
+@pytest.mark.parametrize("dim", [40, 80, 120, 160, 200, 240, 260])
+@pytest.mark.parametrize("model", list(FOCK_MODELS))
+def test_fock_levels_match_dense_oracle(model, dim):
+    op = FOCK_MODELS[model](dim)
+    ev = op.eigenvalues(10)
+    ref, vl, vr = reference_fock_eigenvalues(op.matrix)
+    # eigenvalue condition numbers |x| |y| / |y^H x| from the oracle's
+    # left and right eigenvectors: both solvers are backward stable, so
+    # each level may move by a few kappa |H|_2 eps from the exact one.  The
+    # bound is 10 kappa |H|_2 eps (eps = 2^-52, twice the unit roundoff):
+    # on the Swanson models at dims 70-140 the dense oracle alone lies up
+    # to 14 |H|_2 u from the exact Bogoliubov levels
+    kappa = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    bound = 10.0 * kappa * np.linalg.norm(op.matrix, 2) * np.finfo(float).eps
+    nearest = np.abs(ref[None, :] - ev[:, None]).argmin(axis=1)
+    assert (np.abs(ref[nearest] - ev) <= bound[nearest]).all()
+    # the same levels as the oracle's ten of smallest modulus (a conjugate
+    # pair may come in either order there)
+    assert (np.abs(np.abs(ev) - np.abs(ref[:10])) <= bound[:10]).all()
+    # exactly real levels, and complex ones only as exact conjugate pairs
+    pairs = ev[ev.imag != 0]
+    assert np.array_equal(pairs[1::2], pairs[0::2].conj())
+    if model != "reggeon(1,1)":
+        assert not ev.imag.any()
+
+
+def test_conjugate_pairs_list_negative_imaginary_part_first():
+    build = FOCK_MODELS["reggeon(1,1)"]
+    ev = build(80).eigenvalues(10)
+    assert np.count_nonzero(ev.imag) == 6
+    assert (np.diff(np.abs(ev)) >= 0).all()
+    assert (ev[ev.imag != 0][0::2].imag < 0).all()
+    rep = spectra.fock_report(build, 80, k=10)
+    assert rep.pairing == {4: 5, 5: 4, 6: 7, 7: 6, 8: 9, 9: 8}
+
+
+def test_fock_report_calls_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver on the Fock path")
+
+    monkeypatch.setattr(sla, "eigvals", refuse)
+    monkeypatch.setattr(sla, "eig", refuse)
+    for build in (FOCK_MODELS["reggeon(2,0.3)"], FOCK_MODELS["swanson(2,0.3,0.2)"]):
+        rep = spectra.fock_report(build, 240, k=10)
+        assert rep.classification is spectra.Classification.ALL_REAL
 
 
 def test_swanson_broken_phase_never_stabilizes():
@@ -204,8 +261,8 @@ def test_truncation_diagnostics_flags_unstable_levels():
     assert rep.diagnostics["dims"] == [60, 80]
     change = np.array(rep.diagnostics["truncation_change"])
     # the report reuses its own dim-60 levels: bitwise the change of two solves
-    assert np.array_equal(change, np.abs(build(80).eigenvalues()[:10]
-                                         - build(60).eigenvalues()[:10]))
+    assert np.array_equal(change, np.abs(build(80).eigenvalues(10)
+                                         - build(60).eigenvalues(10)))
     # the low end of the spectrum is already stable, the top is not
     assert change[0] < 1e-8
     assert change.max() > 1e-3
