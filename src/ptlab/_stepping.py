@@ -164,11 +164,16 @@ class Stop:
     The records are complete up to time `t`, where the state was `y`.
     `error` is None when every stop time was recorded; otherwise it is
     the engine error, or TOO_SMALL_STEP when the step size collapsed.
+    The counts cover the whole run: right-hand-side evaluations (one
+    that raised included), accepted steps and rejected step attempts.
     """
 
     t: float
     y: np.ndarray | None
     error: PTLabError | str | None
+    nfev: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
 
 def integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
@@ -192,9 +197,17 @@ def integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
     direction = 1.0 if stops[-1] >= stops[0] else -1.0
     t_done, y_done = stops[0], y0
     j = 1
+    counts = [0, 0, 0]          # evaluations, accepted and rejected steps
+
+    def counted(t, y):
+        counts[0] += 1
+        return rhs(t, y)
+
     try:
         record(stops[0], y0)
-        for t, y, interpolant in _dop853(rhs, stops[0], y0, stops[-1], rtol, atol, max_step):
+        for t, y, interpolant in _dop853(counted, stops[0], y0, stops[-1], rtol, atol,
+                                         max_step, counts):
+            counts[1] += 1
             if check is not None:
                 check(t, y)
             # a stop strictly inside the step needs the interpolant
@@ -206,16 +219,17 @@ def integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
                 j += 1
             t_done, y_done = t, y
     except PTLabError as exc:
-        return Stop(t_done, y_done, exc)
-    return Stop(t_done, y_done, None if j == len(stops) else TOO_SMALL_STEP)
+        return Stop(t_done, y_done, exc, *counts)
+    return Stop(t_done, y_done, None if j == len(stops) else TOO_SMALL_STEP, *counts)
 
 
-def _dop853(rhs, t, y, t_end, rtol, atol, max_step):
+def _dop853(rhs, t, y, t_end, rtol, atol, max_step, counts):
     """The accepted DOP853 steps (t, y, interpolant) from y(t) to t_end.
 
     Ends at t_end, or early when the step size falls below 10 ulp(t).
     interpolant() evaluates the 3 extra stages of the step just yielded
     and returns its dense output y(s); call it before the next step.
+    Each rejected step attempt adds 1 to counts[2].
     """
     if t == t_end:         # one stop: the first-step rule would divide by a zero span
         return
@@ -237,9 +251,10 @@ def _dop853(rhs, t, y, t_end, rtol, atol, max_step):
                 t_new = t_end
             h = t_new - t
             h_abs = np.abs(h)
+            hA = h * A
             for s in range(1, N_STAGES):
-                K[s] = rhs(t + C[s] * h, y + _combine(h * A[s, :s], Kr, K.dtype))
-            y_new = y + _combine(h * B, Kr, K.dtype)
+                K[s] = rhs(t + C[s] * h, y + _combine(hA[s, :s], Kr, K.dtype))
+            y_new = y + _combine(hA[N_STAGES, :N_STAGES], Kr, K.dtype)
             K[N_STAGES] = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _error_norm(Kr, h, scale)
@@ -250,8 +265,9 @@ def _dop853(rhs, t, y, t_end, rtol, atol, max_step):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
+            counts[2] += 1
         t_old, y_old, t, y = t, y, t_new, y_new
-        yield t, y, lambda: _interpolant(rhs, t_old, y_old, h, y, K, Kr)
+        yield t, y, lambda: _interpolant(rhs, t_old, y_old, h, hA, y, K, Kr)
         K[0] = K[N_STAGES]
 
 
@@ -299,14 +315,14 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol, max_step):
     return min(100 * h0, h1, span, max_step)
 
 
-def _interpolant(rhs, t_old, y_old, h, y, K, Kr):
+def _interpolant(rhs, t_old, y_old, h, hA, y, K, Kr):
     """DOP853's 7th-order dense output y(s) over the step h from y(t_old) to y.
 
-    Evaluates the 3 extra stages (rows 13-15 of K); rows 0 and 12 hold
-    f at the two ends of the step.
+    Evaluates the 3 extra stages (rows 13-15 of K, with hA = h * A); rows
+    0 and 12 hold f at the two ends of the step.
     """
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        K[s] = rhs(t_old + C[s] * h, y_old + _combine(h * A[s, :s], Kr, K.dtype))
+        K[s] = rhs(t_old + C[s] * h, y_old + _combine(hA[s, :s], Kr, K.dtype))
     dy = y - y_old
     F = np.empty((7, y.size), dtype=K.dtype)
     F[0] = dy

@@ -40,25 +40,32 @@ class PotentialKind(enum.Enum):
             return 1.0 / np.sin(x)
         return 1.0 / np.sinh(x)
 
-    def fprime(self, x):
+    def f_fprime(self, x):
+        """(f(x), f'(x)) from one sin or sinh (and cos or cosh) evaluation."""
         x = np.asarray(x)
         if self is PotentialKind.RATIONAL:
-            return -1.0 / x**2
+            return 1.0 / x, -1.0 / x**2
         if self is PotentialKind.TRIGONOMETRIC:
-            return -np.cos(x) / np.sin(x) ** 2
-        return -np.cosh(x) / np.sinh(x) ** 2
+            s = np.sin(x)
+            return 1.0 / s, -np.cos(x) / s**2
+        s = np.sinh(x)
+        return 1.0 / s, -np.cosh(x) / s**2
+
+    def fprime(self, x):
+        return self.f_fprime(x)[1]
 
     def V(self, x):
         return self.f(x) ** 2
 
     def Vprime(self, x):
-        return 2.0 * self.f(x) * self.fprime(x)
+        f, fp = self.f_fprime(x)
+        return 2.0 * f * fp
 
     def hyperplane_distance(self, x):
         """Distance of the real part of a.q from the singular set."""
-        x = np.real(np.asarray(x, dtype=complex))
+        x = np.asarray(x).real
         if self is PotentialKind.TRIGONOMETRIC:
-            return np.abs(x - np.pi * np.round(x / np.pi))
+            return np.abs(x - np.pi * np.rint(x / np.pi))
         return np.abs(x)
 
 
@@ -113,13 +120,16 @@ class CMSSystem:
     gtilde: np.ndarray = field(init=False, repr=False, compare=False)
     ghat_sq: np.ndarray = field(init=False, repr=False, compare=False)
     ghat: np.ndarray = field(init=False, repr=False, compare=False)
+    # the roots as complex rows, so that products with complex vectors cast nothing
+    roots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._place(self.q, self.p)
         g, gtilde = self.couplings.per_root(self.root_system)
         ghat_sq = effective_couplings(self.couplings, self.root_system)
         for name, a in [("g", g), ("gtilde", gtilde), ("ghat_sq", ghat_sq),
-                        ("ghat", np.sqrt(ghat_sq.astype(complex)))]:
+                        ("ghat", np.sqrt(ghat_sq.astype(complex))),
+                        ("roots", self.root_system.roots.astype(complex))]:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -146,13 +156,13 @@ def _check_nonsingular(sys: CMSSystem, q=None):
     The one place that evaluates a.q: each public function calls it once
     and evaluates f (and f') once from its result.
     """
-    q = sys.q if q is None else np.asarray(q, dtype=complex)
-    aq = sys.root_system.roots @ q
+    aq = sys.roots @ (sys.q if q is None else q)
     d = sys.potential.hyperplane_distance(aq)
-    if d.min() < SINGULAR_GUARD:
-        i = int(np.argmin(d))
+    # d[argmin] is d.min(), NaN included, at a fraction of a reduction's cost
+    i = d.argmin()
+    if d[i] < SINGULAR_GUARD:
         raise SingularConfigError(
-            f"configuration within {d.min():.2e} of the singular hyperplane of "
+            f"configuration within {d[i]:.2e} of the singular hyperplane of "
             f"root {sys.root_system.roots[i]}"
         )
     return aq
@@ -160,7 +170,7 @@ def _check_nonsingular(sys: CMSSystem, q=None):
 
 def _mu(sys: CMSSystem, f):
     """mu = (1/2) sum_a gtilde_a f(a.q) a from f at a checked point."""
-    return 0.5 * ((sys.gtilde * f) @ sys.root_system.roots)
+    return 0.5 * ((sys.gtilde * f) @ sys.roots)
 
 
 def verify_mu_identity(sys: CMSSystem):
@@ -217,7 +227,7 @@ def shifted_equivalence(sys: CMSSystem):
 
 def _force(sys: CMSSystem, f, fp):
     """-grad U with U = (1/2) sum ghat^2 f(a.q)^2, from f and f' at a checked point."""
-    return -((sys.ghat_sq * (f * fp)) @ sys.root_system.roots)
+    return -((sys.ghat_sq * (f * fp)) @ sys.roots)
 
 
 def _flow(sys: CMSSystem, p, f, fp):
@@ -228,7 +238,7 @@ def _flow(sys: CMSSystem, p, f, fp):
     J = d mu / dq, summed per root as (1/2) sum gtilde f' (a.qdot) a so
     that J is never formed.
     """
-    roots = sys.root_system.roots
+    roots = sys.roots
     qdot = p + 1j * _mu(sys, f)
     qddot = _force(sys, f, fp)
     pdot = qddot - 0.5j * ((sys.gtilde * fp * (roots @ qdot)) @ roots)
@@ -237,8 +247,7 @@ def _flow(sys: CMSSystem, p, f, fp):
 
 def equations_of_motion(sys: CMSSystem):
     """(qdot, pdot) of the complexified flow of `hamiltonian`."""
-    aq = _check_nonsingular(sys)
-    qdot, pdot, _ = _flow(sys, sys.p, sys.potential.f(aq), sys.potential.fprime(aq))
+    qdot, pdot, _ = _flow(sys, sys.p, *sys.potential.f_fprime(_check_nonsingular(sys)))
     return qdot, pdot
 
 
@@ -250,6 +259,10 @@ class Trajectory:
     energy: np.ndarray       # H along the flow
     completed: bool
     error: str | None = None
+    # the stepper's right-hand-side evaluations, accepted and rejected steps
+    nfev: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
 
 def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
@@ -261,7 +274,9 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
     the solver's dense output and carry p = qdot - i mu(q).  A step that
     nears a singular hyperplane, or a step size that collapses, ends the
     run with `completed=False`; the records up to the last accepted step
-    are kept and `error` names the time they reach.
+    are kept and `error` names the time they reach.  The trajectory also
+    carries the stepper's counts of evaluations and of accepted and
+    rejected steps.
     """
     if not 0 < dt < np.inf or n_steps < 0 or record_every < 1:
         raise ConfigurationError(
@@ -273,8 +288,10 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
 
     def rhs(t, y):
         aq = _check_nonsingular(sys, y[:d])
-        return np.concatenate([y[d:], _force(sys, sys.potential.f(aq),
-                                             sys.potential.fprime(aq))])
+        out = np.empty(2 * d, dtype=complex)
+        out[:d] = y[d:]
+        out[d:] = _force(sys, *sys.potential.f_fprime(aq))
+        return out
 
     ts, qs, ps, es = [], [], [], []
 
@@ -297,7 +314,9 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
     return Trajectory(np.array(ts), np.array(qs), np.array(ps), np.array(es),
                       completed=stop.error is None,
                       error=None if stop.error is None
-                      else f"stopped at t = {stop.t}: {stop.error}")
+                      else f"stopped at t = {stop.t}: {stop.error}",
+                      nfev=stop.nfev, n_accepted=stop.n_accepted,
+                      n_rejected=stop.n_rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +354,12 @@ def _lax(sys: CMSSystem, basis: CartanWeylBasis):
     _require_lax(sys)
     aq = _check_nonsingular(sys)
     ghat = sys.ghat
-    f, fp = sys.potential.f(aq), sys.potential.fprime(aq)
+    f, fp = sys.potential.f_fprime(aq)
     qdot, _, qddot = _flow(sys, sys.p, f, fp)
     c = 1j * ghat * f
     w = np.einsum("a,aij->i", c * f, basis.step)
     m = np.einsum("kii,i->k", basis.cartan, w - w.mean())
-    aqdot = sys.root_system.roots @ qdot
+    aqdot = sys.roots @ qdot
     return (_step_sum(basis, qdot, c), _step_sum(basis, m, 1j * ghat * fp), m,
             _step_sum(basis, qddot, 1j * ghat * fp * aqdot))
 

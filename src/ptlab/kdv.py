@@ -272,7 +272,8 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     steps the remaining nonlinear part, which reads only the rows u and
     u_x (m = 0, 1).  The frame is global: the stepped variable is
     v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 t) is computed
-    afresh at each evaluation time (its inverse is its conjugate).  Flows
+    afresh at each evaluation time, on the kept modes only (its inverse
+    is its conjugate); records take it on all modes.  Flows
     whose dispersion is itself nonlinear are stepped with no factor at
     all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).  In either frame
     the rows and the result keep only the modes |k| < (2/3) k_N (the 2/3
@@ -323,9 +324,12 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
 
     if use_if:
         nonlinear = _NONLINEAR[flow]
+        # the factor on the kept modes only, and 0 above the cut
+        ik3_kept = ik3[keep]
+        e = np.zeros(field.n, dtype=complex)
 
         def rhs(t, v):
-            e = keep * factor(t)
+            e[keep] = np.exp(ik3_kept * t)
             return np.conj(e) * np.fft.fft(nonlinear(*_derivatives(e * v, uux), eps))
 
         # The factor leaves the phase exp(3i k k1 k2 t) on each product of

@@ -162,13 +162,19 @@ class TruncatedFockOperator:
         return band_matrix(self.bands).toarray()
 
     def eigenvalues(self, k):
-        """The k levels nearest -1/2 (just left of the reggeon vacuum E = 0,
-        where H - sigma is singular), 1 <= k <= dim, ordered by (|E|, Im E).
+        """The k levels of smallest modulus, 1 <= k <= dim, ordered by (|E|, Im E).
+
+        Shift-invert around -1/2 (just left of the reggeon vacuum E = 0,
+        where H - sigma is singular) gives the m >= k levels nearest -1/2,
+        all within a radius R of it.  Every other level has |E| >= R - 1/2,
+        so the k of smallest modulus among the m are those of the whole
+        spectrum once the k-th of them has |E| + 1/2 <= R.  That holds
+        at m = k when that level is real and positive; otherwise m
+        doubles.  ARPACK needs m < dim - 1; beyond that one dense solve.
 
         The gauge diag(i^n) H diag(i^n)^-1 multiplies band d by the exact
         constant i^-d: when P H* P = H the rotated bands are real, and the
-        levels come out exactly real or as exact conjugate pairs.  ARPACK
-        needs k < dim - 1; larger k take a dense solve, by modulus.
+        levels come out exactly real or as exact conjugate pairs.
         """
         w, n = self.bands.shape[0] // 2, self.bands.shape[1]
         if not 1 <= k <= n:
@@ -176,9 +182,18 @@ class TruncatedFockOperator:
         rotated = self.bands * np.array([1, -1j, -1, 1j])[np.arange(-w, w + 1) % 4, None]
         if not rotated.imag.any():
             rotated = rotated.real
-        ev = (eigenpairs_near(rotated, k, -0.5) if k < n - 1
-              else sla.eigvals(band_matrix(rotated).toarray()))
-        return ev[np.lexsort((ev.imag, np.abs(ev)))][:k]
+        m = k
+        while m < n - 1:
+            ev = _by_modulus(eigenpairs_near(rotated, m, -0.5))
+            if abs(ev[k - 1]) + 0.5 <= np.abs(ev + 0.5).max():
+                return ev[:k]
+            m *= 2
+        return _by_modulus(sla.eigvals(band_matrix(rotated).toarray()))[:k]
+
+
+def _by_modulus(ev):
+    """Levels ordered by (|E|, Im E)."""
+    return ev[np.lexsort((ev.imag, np.abs(ev)))]
 
 
 def annihilation(dim):
@@ -288,7 +303,7 @@ def _metric_normal_equations(coeffs, H, basis):
     None, where e^A H e^-A overflows.
     """
     basis = np.asarray(basis)
-    lam, V = sla.eigh(np.tensordot(coeffs, basis, 1))
+    lam, V = np.linalg.eigh(np.tensordot(coeffs, basis, 1))
     d = lam[:, None] - lam[None, :]
     Vh = V.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -339,7 +354,7 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
         # its floor, D lets a direction that barely moves R take a huge step
         # and the damping then freezes the others
         sc = np.maximum(np.diag(JtJ), 1e-2 * np.diag(JtJ).max()) ** -0.5
-        lam, U = sla.eigh(sc[:, None] * JtJ * sc)
+        lam, U = np.linalg.eigh(sc[:, None] * JtJ * sc)
         y = -U @ ((U.T @ (sc * g)) / (np.maximum(lam, 0.0) + mu))
         step = sc * y
         pred = mu * (y @ y) - step @ g
@@ -400,7 +415,7 @@ def metric_search(H, ansatz_dim=3):
                                             scaled_basis, floor ** 2, tol ** 2)
     resid = float(np.sqrt(f))
     coeffs = x * bscale
-    lam, V = sla.eigh(sum(c * B for c, B in zip(coeffs, basis)))
+    lam, V = np.linalg.eigh(sum(c * B for c, B in zip(coeffs, basis)))
     eta = (V * np.exp(lam)) @ V.conj().T
     with np.errstate(over="ignore"):
         condition = float(np.exp(lam.max() - lam.min()))

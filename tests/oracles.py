@@ -16,9 +16,11 @@ metric from the eigenvectors for any searched one, and the original CMS
 equations of motion (coupling arrays rebuilt per call) and Lax pair
 (per-root loops over the step matrices) for the cached and stacked
 ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
-(q, qdot), and the stepping loop over scipy's `DOP853` solver object
-for the one with its own tableau and controller, and the textbook
-simple-root tables for the derived simple roots.
+(q, qdot), the first trajectory right-hand side (f and f' from their
+own sines, a concatenated result) for the one-pass one, the stepping
+loop over scipy's `DOP853` solver object for the one with its own
+tableau and controller, and the textbook simple-root tables for the
+derived simple roots.
 """
 
 from __future__ import annotations
@@ -647,6 +649,46 @@ def reference_rk4_trajectory(sys, dt, n_steps, record_every=1):
                           np.array(es), completed=False, error=str(exc))
     return Trajectory(np.array(ts), np.array(qs), np.array(ps),
                       np.array(es), completed=True)
+
+
+def reference_f_fprime(kind, x):
+    """(f, f') of a `cms.PotentialKind` by ptlab's first formulas, each
+    with its own sin or sinh."""
+    from ptlab.cms import PotentialKind
+
+    x = np.asarray(x)
+    if kind is PotentialKind.RATIONAL:
+        return 1.0 / x, -1.0 / x**2
+    if kind is PotentialKind.TRIGONOMETRIC:
+        return 1.0 / np.sin(x), -np.cos(x) / np.sin(x) ** 2
+    return 1.0 / np.sinh(x), -np.cosh(x) / np.sinh(x) ** 2
+
+
+def reference_trajectory_rhs(sys):
+    """The right-hand side y' = (qdot, -grad U) on y = (q, qdot) that
+    `cms.integrate_trajectory` stepped before its one-pass form.
+
+    f and f' each take their own sin or sinh, the distance check casts
+    a.q to complex and rounds with np.round, and the result is
+    concatenated.
+    """
+    from ptlab.cms import SINGULAR_GUARD, PotentialKind
+    from ptlab.errors import SingularConfigError
+
+    d, roots, kind = sys.dim, sys.root_system.roots, sys.potential
+
+    def rhs(t, y):
+        aq = roots @ np.asarray(y[:d], dtype=complex)
+        x = np.real(np.asarray(aq, dtype=complex))
+        if kind is PotentialKind.TRIGONOMETRIC:
+            x = x - np.pi * np.round(x / np.pi)
+        dist = np.abs(x)
+        if dist.min() < SINGULAR_GUARD:
+            raise SingularConfigError(f"configuration within {dist.min():.2e} of a "
+                                      "singular hyperplane")
+        f, fp = reference_f_fprime(kind, aq)
+        return np.concatenate([y[d:], -((sys.ghat_sq * (f * fp)) @ roots)])
+    return rhs
 
 
 def reference_dop853_integrate(rhs, y0, stops, rtol, atol, max_step, record, check):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (rational_calogero_lax_reference, reference_equations_of_motion,
-                     reference_lax, reference_rk4_trajectory)
-from ptlab import cli, cms
+                     reference_f_fprime, reference_lax, reference_rk4_trajectory,
+                     reference_trajectory_rhs)
+from ptlab import _stepping, cli, cms
 from ptlab.errors import CapabilityError, PTLabError, SingularConfigError
 from ptlab.rootsys import build_cartan_weyl, build_root_system
 
@@ -97,6 +98,16 @@ def test_potential_derivative_consistency(kind):
     assert np.allclose(kind.V(x), kind.f(x) ** 2)
     assert np.allclose((kind.V(x + h) - kind.V(x - h)) / (2 * h),
                        kind.Vprime(x), atol=1e-5)
+
+
+@pytest.mark.parametrize("kind", list(cms.PotentialKind))
+def test_f_fprime_is_f_and_fprime_bitwise(kind):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.3, 2.5, 40) * rng.choice([-1.0, 1.0], 40) + 1j * rng.normal(0.0, 0.4, 40)
+    f, fp = kind.f_fprime(x)
+    ref_f, ref_fp = reference_f_fprime(kind, x)
+    for got, ref in ((f, kind.f(x)), (fp, kind.fprime(x)), (f, ref_f), (fp, ref_fp)):
+        assert got.dtype == complex and got.tobytes() == ref.tobytes()
 
 
 def test_trigonometric_distance_is_mod_pi():
@@ -290,6 +301,26 @@ def test_trajectory_matches_reference_rk4(family, rank, potential):
     assert got.times.tobytes() == ref.times.tobytes()
     assert np.abs(got.q - ref.q).max() < 1e-8
     assert np.abs(got.p - ref.p).max() < 1e-8
+
+
+@pytest.mark.parametrize("potential", ["rational", "trigonometric", "hyperbolic"])
+@pytest.mark.parametrize("family, rank", [("A", 2), ("B", 3), ("C", 3)])
+def test_trajectory_rhs_is_the_replaced_one_bitwise(monkeypatch, family, rank, potential):
+    # the one-pass right-hand side makes the steps, evaluations and records
+    # of the one it replaced, to the bit
+    s = cli_state(family, rank, potential)
+    got = cms.integrate_trajectory(s, dt=1e-3, n_steps=500, record_every=10)
+    integrate = _stepping.integrate
+    monkeypatch.setattr(_stepping, "integrate", lambda rhs, *args: integrate(
+        reference_trajectory_rhs(s), *args))
+    ref = cms.integrate_trajectory(s, dt=1e-3, n_steps=500, record_every=10)
+    assert got.completed and ref.completed
+    for name in ("times", "q", "p", "energy"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    # the saving is per evaluation: the counts are the replaced run's
+    assert (got.nfev, got.n_accepted, got.n_rejected) == (
+        ref.nfev, ref.n_accepted, ref.n_rejected)
+    assert got.nfev >= 12 * (got.n_accepted + got.n_rejected) + 2
 
 
 def test_trajectory_energy_error_controlled_B3_trigonometric():

@@ -244,6 +244,17 @@ def test_fock_report_calls_no_dense_eigensolver(monkeypatch):
         assert rep.classification is spectra.Classification.ALL_REAL
 
 
+@pytest.mark.parametrize("dim", [100, 120])
+def test_fock_levels_are_those_of_smallest_modulus(dim):
+    # broken-phase Swanson: levels lie far left of zero, so the ten nearest
+    # the shift -1/2 are not the ten of smallest modulus
+    op = spectra.swanson_model(0.5, 1.0, 1.0, dim)
+    ev = op.eigenvalues(10)
+    ref = reference_fock_eigenvalues(op.matrix)[0]
+    assert np.abs(np.abs(ev) - np.abs(ref[:10])).max() < 1e-9
+    assert np.abs(ref[np.abs(ref[None, :] - ev[:, None]).argmin(axis=1)] - ev).max() < 1e-9
+
+
 def test_swanson_broken_phase_never_stabilizes():
     # 4 g gtilde > delta^2: the mode frequency turns imaginary.  The real
     # truncated matrix still has real eigenvalues at every finite dim, but
@@ -347,6 +358,15 @@ def test_metric_search_makes_at_most_one_exponential(monkeypatch):
     res = spectra.metric_search(op)
     assert res.converged and res.positive
     assert len(calls) <= 1
+
+
+def test_metric_search_runs_on_numpys_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's eigh in the metric search")
+
+    monkeypatch.setattr(sla, "eigh", refuse)
+    res = spectra.metric_search(spectra.swanson_model(2.0, 0.5, 0.2, 40))
+    assert res.converged and res.positive and res.stop == "floor"
 
 
 # the four searches of the benchmark's metric sweep

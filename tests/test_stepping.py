@@ -79,6 +79,23 @@ def test_step_size_collapse_ends_the_run():
     assert [t for t, _ in seen] == [t for t in STOPS if t <= stop.t]
 
 
+def test_stop_counts_evaluations_and_steps():
+    calls, accepted = [], []
+
+    def counted(t, y):
+        calls.append(t)
+        return rotation(t, y) * (np.nan if t > 1.05 else 1.0)
+
+    with np.errstate(invalid="ignore"):
+        stop, _ = run(counted, STOPS, lambda t, y: accepted.append(t))
+    assert stop.nfev == len(calls)
+    assert stop.n_accepted == len(accepted) > 0 and stop.n_rejected > 0
+    # 2 evaluations choose the first step, each attempt makes 12 and each
+    # dense output 3 more
+    dense = stop.nfev - 2 - 12 * (stop.n_accepted + stop.n_rejected)
+    assert dense >= 0 and dense % 3 == 0
+
+
 def test_nan_from_the_start_collapses_the_step_size():
     # the first step size comes out NaN; it must end the run, not loop
     with np.errstate(invalid="ignore"):
