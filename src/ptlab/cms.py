@@ -188,17 +188,16 @@ def verify_mu_identity(sys: CMSSystem):
     return float(abs(mu @ mu - rhs))
 
 
-def _hamiltonian(sys: CMSSystem, aq, p):
-    """(H, mu, (1/2) sum ghat^2 V) at a checked point, from one f(a.q)."""
-    f = sys.potential.f(aq)
-    mu = _mu(sys, f)
+def _hamiltonian(sys: CMSSystem, p, f, mu):
+    """(H, (1/2) sum ghat^2 V) from f(a.q) and mu at a checked point."""
     pot = 0.5 * (sys.ghat_sq * f**2).sum()
-    return 0.5 * (p @ p) + pot + 1j * (mu @ p) - 0.5 * (mu @ mu), mu, pot
+    return 0.5 * (p @ p) + pot + 1j * (mu @ p) - 0.5 * (mu @ mu), pot
 
 
 def hamiltonian(sys: CMSSystem):
     """Deformed Hamiltonian p^2/2 + (1/2) sum ghat^2 V + i mu.p - mu^2/2."""
-    return _hamiltonian(sys, _check_nonsingular(sys), sys.p)[0]
+    f = sys.potential.f(_check_nonsingular(sys))
+    return _hamiltonian(sys, sys.p, f, _mu(sys, f))[0]
 
 
 def hamiltonian_undeformed_form(sys: CMSSystem):
@@ -220,7 +219,9 @@ def shifted_equivalence(sys: CMSSystem):
     couplings evaluated at complex momentum; the residual is an algebraic
     zero for all three potentials.
     """
-    h, mu, pot = _hamiltonian(sys, _check_nonsingular(sys), sys.p)
+    f = sys.potential.f(_check_nonsingular(sys))
+    mu = _mu(sys, f)
+    h, pot = _hamiltonian(sys, sys.p, f, mu)
     shifted = sys.p + 1j * mu
     return float(abs(h - (0.5 * (shifted @ shifted) + pot)))
 
@@ -297,12 +298,13 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
 
     def record(t, y):
         q = y[:d]
-        aq = _check_nonsingular(sys, q)
-        p = y[d:] - 1j * _mu(sys, sys.potential.f(aq))
+        f = sys.potential.f(_check_nonsingular(sys, q))
+        mu = _mu(sys, f)
+        p = y[d:] - 1j * mu
         ts.append(t)
         qs.append(q.copy())
         ps.append(p)
-        es.append(_hamiltonian(sys, aq, p)[0])
+        es.append(_hamiltonian(sys, p, f, mu)[0])
 
     try:
         mu = _mu(sys, sys.potential.f(_check_nonsingular(sys)))

@@ -1,15 +1,13 @@
 """Finite-difference operators on uniform 1D grids, and the one banded
 eigensolver of the grid and Fock engines.
 
-A grid Hamiltonian -d^2/dx^2 + V is held only as its lower bands, a
-(w+1, n) array with bands[d, j] = H[j + d, j], which `band_matvec` reads;
-the operator is complex-symmetric even for complex V.  Dirichlet
-boundaries are realized by zero extension (stencil rows near the edge
-drop out-of-range points).  `eigenpairs_near` takes full bands: row w + d
-of a (2w+1, n) array holds diagonal d = -w..w in its first n - |d|
-entries, and grid operators pass their lower bands `mirrored`.  It runs
-shift-invert Arnoldi (ARPACK) from a fixed start vector, so reruns are
-byte-identical.
+Every banded operator, grid Hamiltonian or number-basis matrix, is held
+as its full bands: row w + d of a (2w+1, n) array holds diagonal
+d = -w..w in its first n - |d| entries.  A grid Hamiltonian -d^2/dx^2 + V
+is complex-symmetric even for complex V; Dirichlet boundaries are
+realized by zero extension (stencil rows near the edge drop out-of-range
+points).  `eigenpairs_near` runs shift-invert Arnoldi (ARPACK) from a
+fixed start vector, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -48,32 +46,28 @@ def derivative(values, dx, order):
 
 
 def schrodinger_bands(V, dx, acc=2):
-    """Lower bands of -d^2/dx^2 + V (real when V is), Dirichlet boundaries."""
+    """Full bands of -d^2/dx^2 + V (real when V is), Dirichlet boundaries."""
     V = np.asarray(V)
     if np.iscomplexobj(V) and np.abs(V.imag).max() == 0.0:
         V = V.real
     n = V.size
     st = {2: _C2_ACC2, 4: _C2_ACC4}[acc]
-    bands = np.zeros((max(st) + 1, n), dtype=np.result_type(V, float))
-    bands[0] = V - st[0] / dx**2
-    for d in range(1, max(st) + 1):
-        bands[d, :n - d] = -st[d] / dx**2
+    w = max(st)
+    bands = np.zeros((2 * w + 1, n), dtype=np.result_type(V, float))
+    bands[w] = V - st[0] / dx**2
+    for d in range(1, w + 1):
+        bands[w - d, :n - d] = bands[w + d, :n - d] = -st[d] / dx**2
     return bands
 
 
 def band_matvec(bands, u):
-    """Product of the symmetric banded operator with the vector u."""
-    n = u.size
-    out = bands[0] * u
-    for d in range(1, bands.shape[0]):
-        out[d:] += bands[d, :n - d] * u[:n - d]
-        out[:n - d] += bands[d, :n - d] * u[d:]
+    """Product of the operator with full bands `bands` and the vector u."""
+    w, n = bands.shape[0] // 2, u.size
+    out = bands[w] * u
+    for d in range(1, w + 1):
+        out[d:] += bands[w - d, :n - d] * u[:n - d]
+        out[:n - d] += bands[w + d, :n - d] * u[d:]
     return out
-
-
-def mirrored(bands):
-    """Full bands of the symmetric operator with lower bands `bands`."""
-    return np.vstack((bands[:0:-1], bands))
 
 
 def band_matrix(bands):

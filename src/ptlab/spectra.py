@@ -4,9 +4,10 @@ Grid spectra of the monomial family p^2 - g(iz)^N, truncated Fock-space
 matrices of the single-site reggeon cubic model and the bilinear
 (Swanson-type) model, the real-or-conjugate-pair classification that an
 unbroken antilinear symmetry enforces, and a numerical search for a
-Hermitizing similarity transform (metric).  Grid and Fock operators are
-both held as bands and solved by `gridops.eigenpairs_near`; a dense Fock
-matrix is built only for the metric search and whole-matrix checks.
+Hermitizing similarity transform (metric).  Grid and Fock operators
+share the full bands of `gridops` and its solver; the gauge rotation
+`_gauge_rotated` makes a Fock operator's bands real exactly when
+P H* P = H.  A dense Fock matrix is built only for the metric search.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, require_finite
-from .gridops import band_matrix, eigenpairs_near, mirrored, schrodinger_bands
+from .gridops import band_matrix, eigenpairs_near, schrodinger_bands
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +119,8 @@ def _grid_eigs(model: MonomialModel, n, k):
     z = np.linspace(-model.half_width, model.half_width, n + 2)[1:-1]
     dz = z[1] - z[0]
     bands = schrodinger_bands(model.potential(z), dz, acc=4)
-    bands[0, [0, -1]] -= (1 / 12) / dz**2
-    ev = eigenpairs_near(mirrored(bands), k, 0.0)
-    return ev[np.argsort(np.abs(ev))]
+    bands[2, [0, -1]] -= (1 / 12) / dz**2     # row 2: the diagonal
+    return _by_modulus(eigenpairs_near(bands, k, 0.0))
 
 
 def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
@@ -158,7 +158,7 @@ class TruncatedFockOperator:
 
     @property
     def matrix(self):
-        """The dense matrix, for checks that need all of H."""
+        """The dense matrix, for the metric search and its checks."""
         return band_matrix(self.bands).toarray()
 
     def eigenvalues(self, k):
@@ -172,14 +172,14 @@ class TruncatedFockOperator:
         at m = k when that level is real and positive; otherwise m
         doubles.  ARPACK needs m < dim - 1; beyond that one dense solve.
 
-        The gauge diag(i^n) H diag(i^n)^-1 multiplies band d by the exact
-        constant i^-d: when P H* P = H the rotated bands are real, and the
-        levels come out exactly real or as exact conjugate pairs.
+        When P H* P = H the gauge-rotated bands (`_gauge_rotated`) are
+        real, and the levels come out exactly real or as exact conjugate
+        pairs.
         """
-        w, n = self.bands.shape[0] // 2, self.bands.shape[1]
+        n = self.bands.shape[1]
         if not 1 <= k <= n:
             raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {n}, got {k}")
-        rotated = self.bands * np.array([1, -1j, -1, 1j])[np.arange(-w, w + 1) % 4, None]
+        rotated = _gauge_rotated(self.bands)
         if not rotated.imag.any():
             rotated = rotated.real
         m = k
@@ -194,6 +194,16 @@ class TruncatedFockOperator:
 def _by_modulus(ev):
     """Levels ordered by (|E|, Im E)."""
     return ev[np.lexsort((ev.imag, np.abs(ev)))]
+
+
+def _gauge_rotated(bands):
+    """Full bands of diag(i^n) H diag(i^n)^-1: band d times the exact i^-d.
+
+    On band d, P H* P - H (P = diag((-1)^n)) is (-1)^d H* - H, exactly
+    twice |Im| of the rotated band in modulus.
+    """
+    w = bands.shape[0] // 2
+    return bands * np.array([1, -1j, -1, 1j])[np.arange(-w, w + 1) % 4, None]
 
 
 def annihilation(dim):
@@ -247,14 +257,10 @@ def fock_report(build, dim, k=10, tol=1e-6):
         "dims": [dim, dim + 20]})
 
 
-def is_pt_symmetric_fock(matrix):
-    """Check P H* P = H with P = diag((-1)^n), to 1e-12.
-
-    (P H* P)_ij = (-1)^(i+j) H*_ij, so P is never formed.
-    """
-    n = np.arange(matrix.shape[0])
-    sign = (-1.0) ** np.add.outer(n, n)
-    return bool(np.abs(np.conj(matrix) * sign - matrix).max() < 1e-12)
+def is_pt_symmetric_fock(op: TruncatedFockOperator):
+    """Check P H* P = H with P = diag((-1)^n), to 1e-12, on the bands:
+    |P H* P - H| is twice |Im| of the gauge-rotated bands."""
+    return bool(2.0 * np.abs(_gauge_rotated(op.bands).imag).max() < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +268,13 @@ def is_pt_symmetric_fock(matrix):
 # ---------------------------------------------------------------------------
 
 def metric_ansatz_basis(dim, ansatz_dim=3):
-    """Hermitian generator basis: N, a^2 + a+^2, i(a^2 - a+^2), then
-    symmetrized quartic extensions."""
-    a, ad, n_op = annihilation(dim), creation(dim), number_op(dim)
+    """The first ansatz_dim of the Hermitian generators N, a^2 + a+^2 and
+    i(a^2 - a+^2)."""
+    if not 1 <= ansatz_dim <= 3:
+        raise ConfigurationError("ansatz_dim must be in 1..3")
+    a, ad = annihilation(dim), creation(dim)
     a2, ad2 = a @ a, ad @ ad
-    basis = [n_op, a2 + ad2, 1j * (a2 - ad2),
-             n_op @ n_op, n_op @ a2 + ad2 @ n_op, 1j * (n_op @ a2 - ad2 @ n_op)]
-    if not 1 <= ansatz_dim <= len(basis):
-        raise ConfigurationError(f"ansatz_dim must be in 1..{len(basis)}")
-    return basis[:ansatz_dim]
+    return [number_op(dim), a2 + ad2, 1j * (a2 - ad2)][:ansatz_dim]
 
 
 @dataclass
@@ -381,8 +385,9 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
     return x, f, nfev, "cap"
 
 
-def metric_search(H, ansatz_dim=3):
-    """Search for a Hermitian generator A with exp(A) H exp(-A) Hermitian.
+def metric_search(op: TruncatedFockOperator, ansatz_dim=3):
+    """Search for a Hermitian generator A with exp(A) H exp(-A) Hermitian,
+    H the matrix of `op`.
 
     Minimizes the Frobenius norm of the anti-Hermitian part of the
     transformed operator by Levenberg-Marquardt steps on the normal
@@ -395,9 +400,7 @@ def metric_search(H, ansatz_dim=3):
     e^(max L - min L) stays below 1/eps of float64, so that eta^-1 and
     inner products in eta carry some digits.
     """
-    if isinstance(H, TruncatedFockOperator):
-        H = H.matrix
-    H = np.asarray(H, dtype=complex)
+    H = np.asarray(op.matrix, dtype=complex)
     basis = metric_ansatz_basis(H.shape[0], ansatz_dim)
     scale = np.linalg.norm(H)
     tol = 1e-8 * (1.0 + scale)
@@ -426,10 +429,9 @@ def metric_search(H, ansatz_dim=3):
                         condition=condition, nfev=nfev, stop=stop)
 
 
-def similarity_spectrum_check(H, eta):
-    """Max eigenvalue mismatch between H and eta H eta^-1."""
-    if isinstance(H, TruncatedFockOperator):
-        H = H.matrix
+def similarity_spectrum_check(op: TruncatedFockOperator, eta):
+    """Max eigenvalue mismatch between H, the matrix of `op`, and eta H eta^-1."""
+    H = op.matrix
     h = eta @ H @ np.linalg.inv(eta)
     e1 = np.sort_complex(sla.eigvals(H))
     e2 = np.sort_complex(sla.eigvals(h))

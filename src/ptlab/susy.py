@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NodeError, require_finite
-from .gridops import band_matvec, derivative, eigenpairs_near, mirrored, schrodinger_bands
+from .gridops import band_matvec, derivative, eigenpairs_near, schrodinger_bands
 
 NODE_REL_TOL = 1e-12
 
@@ -113,9 +113,8 @@ def superpotential_from_groundstate(psi: GridWavefunction, E_m=0.0):
 
 @dataclass(frozen=True)
 class DiscretizedHamiltonian:
-    """-d^2/dx^2 + V in the symmetric band storage of `gridops`."""
+    """-d^2/dx^2 + V in the band storage of `gridops`."""
     bands: np.ndarray
-    dx: float
 
     def eigensystem(self, k=20):
         """The k lowest eigenpairs by real part (vectors as columns).
@@ -124,8 +123,9 @@ class DiscretizedHamiltonian:
         annihilates constants); -Lap is positive definite, so the shift
         lies left of the whole spectrum.
         """
-        shift = (self.bands[0].real + 2.0 * self.bands[1:, 0].real.sum()).min()
-        ev, vec = eigenpairs_near(mirrored(self.bands), k, shift, vectors=True)
+        w = self.bands.shape[0] // 2
+        shift = (self.bands[w].real + 2.0 * self.bands[w + 1:, 0].real.sum()).min()
+        ev, vec = eigenpairs_near(self.bands, k, shift, vectors=True)
         order = np.argsort(ev.real)
         return ev[order], vec[:, order]
 
@@ -141,8 +141,7 @@ def build_partner_hamiltonians(pair: SuperPartnerPair, acc=2):
     checks that need the discretization error below the target tolerance.
     """
     E_m = complex(pair.E_m)
-    return tuple(DiscretizedHamiltonian(schrodinger_bands(V + E_m, pair.dx, acc=acc),
-                                        pair.dx)
+    return tuple(DiscretizedHamiltonian(schrodinger_bands(V + E_m, pair.dx, acc=acc))
                  for V in (pair.V_minus, pair.V_plus))
 
 

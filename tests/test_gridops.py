@@ -1,0 +1,42 @@
+"""Full-band storage: the matrix-vector product and the Schrodinger bands
+against their dense matrices."""
+
+import numpy as np
+import pytest
+
+from oracles import dense_schrodinger
+from ptlab import spectra
+from ptlab.gridops import band_matrix, band_matvec, schrodinger_bands
+
+
+# a complex potential on a 200-point grid
+X = np.linspace(-6.0, 6.0, 200)
+V = X**2 + 0.7j * X**3 * np.exp(-X**2 / 8)
+DX = X[1] - X[0]
+
+
+BANDED = {
+    # g != gtilde: the bands above and below the diagonal differ
+    "swanson": lambda: spectra.swanson_model(2.0, 0.5, 0.2, 60).bands,
+    "reggeon": lambda: spectra.reggeon_single_site(1.0, 0.3, 60).bands,
+    "grid-acc2": lambda: schrodinger_bands(V, DX, 2),
+    "grid-acc4": lambda: schrodinger_bands(V, DX, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(BANDED))
+def test_band_matvec_is_the_matrix_product(name):
+    bands = BANDED[name]()
+    n = bands.shape[1]
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = band_matrix(bands) @ u
+    assert np.abs(band_matvec(bands, u) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("acc", [2, 4])
+def test_schrodinger_bands_are_the_dense_operator(acc):
+    bands = schrodinger_bands(V, DX, acc)
+    ref = dense_schrodinger(V, DX, acc)
+    assert bands.shape == (acc + 1, V.size)
+    assert np.abs(band_matrix(bands).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()

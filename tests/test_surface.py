@@ -9,16 +9,21 @@ class, for `__init__`), so a call to a same-named function elsewhere
 also counts as a use.  Likewise a key of a subcommand's config schema
 that its runner never reads as `params["key"]` sets nothing.  A public
 function, class or method that nothing outside its own definition names
-is dead code.
+is dead code.  Every ptlab name that the benchmark harness in
+`perfbench/` calls or patches still exists.
 """
 
 import ast
+import importlib
+import inspect
 import os
 
-from ptlab import cli
+import oracles
+from ptlab import cli, kdv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "ptlab")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 CALLERS = ("src", "tests", "demos")
 
 
@@ -160,3 +165,53 @@ def test_every_public_name_is_used():
     assert defined, f"no public definitions found under {PACKAGE}"
     unused = [label for name, label in defined if name not in used]
     assert not unused, "public names nothing uses (remove them): " + ", ".join(unused)
+
+
+def _module_constant(tree, name):
+    """The literal value of a module-level `name = ...`."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no module-level {name}")
+
+
+def test_benchmark_harness_names_resolve():
+    """A rename of anything perfbench calls or patches fails here, not
+    only in every unit of a benchmark workload."""
+    missing = []
+    # the keywords the worker passes to cli.run and cli.run_sweep
+    calls = [node for node in ast.walk(_parse(os.path.join(PERFBENCH, "worker.py")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("run", "run_sweep")
+             and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "cli"]
+    assert {c.func.attr for c in calls} == {"run", "run_sweep"}
+    for call in calls:
+        params = inspect.signature(getattr(cli, call.func.attr)).parameters
+        missing += [f"cli.{call.func.attr}({kw.arg}=)" for kw in call.keywords
+                    if kw.arg not in params]
+        if len(call.args) > len(params):
+            missing.append(f"cli.{call.func.attr}: {len(call.args)} positional arguments")
+    # the traced pass wraps every public function of LAYERS and the METHODS
+    spans = _parse(os.path.join(PERFBENCH, "trace_spans.py"))
+    modules = {lay: importlib.import_module(f"ptlab.{lay}")
+               for lay in _module_constant(spans, "LAYERS")}
+    for lay, cls, meth in _module_constant(spans, "METHODS"):
+        if not callable(getattr(getattr(modules[lay], cls, None), meth, None)):
+            missing.append(f"{lay}.{cls}.{meth}")
+    # names the traced pass and its direct right-hand-side timing use
+    if not callable(getattr(cli, "_sweep_cell", None)):
+        missing.append("cli._sweep_cell")
+    if not callable(getattr(kdv, "_RHS", {}).get(kdv.Flow.FRING)):
+        missing.append("kdv._RHS[kdv.Flow.FRING]")
+    missing += [f"kdv.evolve({p})" for p in ("t_final", "dt")
+                if p not in inspect.signature(kdv.evolve).parameters]
+    if not callable(getattr(kdv.KdVField, "from_callable", None)):
+        missing.append("kdv.KdVField.from_callable")
+    # the oracles the output checks import from tests/oracles.py
+    used = {node.attr for node in ast.walk(_parse(os.path.join(PERFBENCH, "checks.py")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "oracles"}
+    assert used, "perfbench/checks.py names no oracle"
+    missing += [f"oracles.{name}" for name in sorted(used) if not hasattr(oracles, name)]
+    assert not missing, "names perfbench uses that ptlab lacks: " + ", ".join(missing)
