@@ -7,7 +7,8 @@ d = -w..w in its first n - |d| entries.  A grid Hamiltonian -d^2/dx^2 + V
 is complex-symmetric even for complex V; Dirichlet boundaries are
 realized by zero extension (stencil rows near the edge drop out-of-range
 points).  `eigenpairs_near` runs shift-invert Arnoldi (ARPACK) from a
-fixed start vector, so reruns are byte-identical.
+fixed start vector, so reruns are byte-identical.  `pt_fold` maps an
+operator with exact PT symmetry to real bands with the same eigenvalues.
 """
 
 from __future__ import annotations
@@ -45,11 +46,14 @@ def derivative(values, dx, order):
     return out / dx**order
 
 
+def real_if_exact(a):
+    """`a` as a real array when its imaginary part is exactly zero, else `a`."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 def schrodinger_bands(V, dx, acc=2):
     """Full bands of -d^2/dx^2 + V (real when V is), Dirichlet boundaries."""
-    V = np.asarray(V)
-    if np.iscomplexobj(V) and np.abs(V.imag).max() == 0.0:
-        V = V.real
+    V = real_if_exact(np.asarray(V))
     n = V.size
     st = {2: _C2_ACC2, 4: _C2_ACC4}[acc]
     w = max(st)
@@ -76,6 +80,46 @@ def band_matrix(bands):
     offsets = list(range(-w, w + 1))
     return sp.diags_array([bands[w + d, :n - abs(d)] for d in offsets],
                           offsets=offsets, shape=(n, n), format="csc")
+
+
+def pt_fold(bands):
+    """Full bands of S H S^-1, H the matrix with full bands `bands`.
+
+    S pairs the points j and n-1-j into e_j = u_j + u_(n-1-j) and
+    o_j = -i (u_j - u_(n-1-j)), interleaved as e_0, o_0, e_1, o_1, ...;
+    the middle point of an odd grid comes last, unchanged.  S H S^-1 has
+    the eigenvalues of H and half-width 2w + 1.  Its entries are
+    (c H_ab + c* H_(Pa)(Pb)) + (c' H_a(Pb) + c'* H_(Pa)b), P the reversal
+    j -> n-1-j, so the folded bands are real, to the bit, exactly when
+    P H* P = H: each bracket is then a number plus its conjugate.
+    """
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    fw = 2 * w + 1
+    # folded index p combines the points a_p and n-1-a_p with the weights
+    # s_p and s_p* (its row of S); column p of S^-1 holds t_p and t_p*
+    idx = np.arange(n)
+    a = idx // 2
+    s = np.where(idx % 2 == 1, -1j, 1.0 + 0j)
+    t = s.conj() / 2
+    if n % 2:
+        # the middle point: a_p = n-1-a_p, so s_p + s_p* and t_p + t_p*
+        # are the entries 1 of S and S^-1 there
+        s[-1] = t[-1] = 0.5
+
+    # H_rc, read from the bands with a zero row on each side for |c - r| > w
+    padded = np.pad(bands, ((1, 1), (0, 0)))
+
+    def h(r, c):
+        return padded[np.clip(c - r, -w - 1, w + 1) + w + 1, np.minimum(r, c)]
+
+    d = np.arange(-fw, fw + 1)[:, None]
+    p = np.minimum(idx - np.minimum(d, 0), n - 1)     # row of entry i on band d
+    q = np.minimum(idx + np.maximum(d, 0), n - 1)     # its column
+    ap, aq = a[p], a[q]
+    c1, c2 = s[p] * t[q], s[p] * t[q].conj()
+    folded = ((c1 * h(ap, aq) + c1.conj() * h(n - 1 - ap, n - 1 - aq))
+              + (c2 * h(ap, n - 1 - aq) + c2.conj() * h(n - 1 - ap, aq)))
+    return np.where(idx < n - np.abs(d), folded, 0)
 
 
 def eigenpairs_near(bands, k, sigma, vectors=False):

@@ -5,9 +5,11 @@ matrices of the single-site reggeon cubic model and the bilinear
 (Swanson-type) model, the real-or-conjugate-pair classification that an
 unbroken antilinear symmetry enforces, and a numerical search for a
 Hermitizing similarity transform (metric).  Grid and Fock operators
-share the full bands of `gridops` and its solver; the gauge rotation
-`_gauge_rotated` makes a Fock operator's bands real exactly when
-P H* P = H.  A dense Fock matrix is built only for the metric search.
+share the full bands of `gridops` and its solver, and both are solved in
+a real form when P H* P = H: the fold `gridops.pt_fold` of a grid
+operator and the gauge rotation `_gauge_rotated` of a Fock operator are
+then real, so levels come out exactly real or as exact conjugate pairs.
+A dense Fock matrix is built only for the metric search.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, require_finite
-from .gridops import band_matrix, eigenpairs_near, schrodinger_bands
+from .gridops import (band_matrix, eigenpairs_near, pt_fold, real_if_exact,
+                      schrodinger_bands)
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +114,31 @@ class MonomialModel:
         return -self.g * (1j * z) ** self.N
 
 
-def _grid_eigs(model: MonomialModel, n, k):
-    # unknowns at interior points; walls sit exactly at +-half_width.
+def _grid_bands(potential, half_width, n):
+    """Full bands of -d^2/dz^2 + potential(z) on n interior points of the
+    box |z| < half_width, at 4th order."""
+    # walls sit exactly at +-half_width.  z_j = (2j - n - 1) h / (n + 1),
+    # j = 1..n, is exactly antisymmetric (np.linspace misses by up to a
+    # few ulp), so V(-z) = V(z)* gives an exactly PT-symmetric operator.
     # The second ghost ring of the 5-point stencil is closed by odd
     # reflection about the wall (exact there since psi'' = (V-E) psi = 0),
     # which keeps full 4th-order accuracy for states that reach the wall.
-    z = np.linspace(-model.half_width, model.half_width, n + 2)[1:-1]
-    dz = z[1] - z[0]
-    bands = schrodinger_bands(model.potential(z), dz, acc=4)
+    z = np.arange(1 - n, n, 2) * (half_width / (n + 1))
+    dz = 2.0 * half_width / (n + 1)
+    bands = schrodinger_bands(potential(z), dz, acc=4)
     bands[2, [0, -1]] -= (1 / 12) / dz**2     # row 2: the diagonal
-    return _by_modulus(eigenpairs_near(bands, k, 0.0))
+    return bands
+
+
+def _grid_eigs(potential, half_width, n, k):
+    """The levels `_smallest_levels` gives for the operator of
+    `_grid_bands`, solved in its real form when P H* P = H."""
+    bands = _grid_bands(potential, half_width, n)
+    if np.iscomplexobj(bands):
+        folded = real_if_exact(pt_fold(bands))
+        if np.isrealobj(folded):
+            bands = folded
+    return _smallest_levels(bands, k, 0.0)
 
 
 def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
@@ -130,13 +148,20 @@ def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
     the spacing; the h^4 error of the 5-point stencil is removed by
     Richardson extrapolation and the raw grid-to-grid change is reported
     as a convergence diagnostic (entries changing by more than 1e-4 are
-    flagged as non-converged).  Needs 1 <= k <= 20 and k < n_grid - 1;
+    flagged as non-converged).  Each grid gives k levels, or k + 1 when
+    the k-th opens a conjugate pair (`_smallest_levels`); the levels both
+    grids give are reported.  Needs 1 <= k <= 20 and k < n_grid - 1;
     other k raise ConfigurationError.
     """
     if k > 20:
         raise ConfigurationError("at most 20 eigenvalues are reported")
-    e1 = _grid_eigs(model, model.n_grid, k)
-    e2 = _grid_eigs(model, 2 * model.n_grid - 1, k)
+    if not 1 <= k < model.n_grid - 1:
+        raise ConfigurationError(f"k must satisfy 1 <= k < n_grid - 1 = "
+                                 f"{model.n_grid - 1}, got {k}")
+    e1, e2 = (_grid_eigs(model.potential, model.half_width, n, k)
+              for n in (model.n_grid, 2 * model.n_grid - 1))
+    j = min(e1.size, e2.size)
+    e1, e2 = e1[:j], e2[:j]
     extrap = (16.0 * e2 - e1) / 15.0
     change = np.abs(e2 - e1)
     flagged = [int(i) for i in np.nonzero(change > 1e-4)[0]]
@@ -162,38 +187,56 @@ class TruncatedFockOperator:
         return band_matrix(self.bands).toarray()
 
     def eigenvalues(self, k):
-        """The k levels of smallest modulus, 1 <= k <= dim, ordered by (|E|, Im E).
+        """The levels `_smallest_levels` gives for 1 <= k <= dim.
 
-        Shift-invert around -1/2 (just left of the reggeon vacuum E = 0,
-        where H - sigma is singular) gives the m >= k levels nearest -1/2,
-        all within a radius R of it.  Every other level has |E| >= R - 1/2,
-        so the k of smallest modulus among the m are those of the whole
-        spectrum once the k-th of them has |E| + 1/2 <= R.  That holds
-        at m = k when that level is real and positive; otherwise m
-        doubles.  ARPACK needs m < dim - 1; beyond that one dense solve.
-
-        When P H* P = H the gauge-rotated bands (`_gauge_rotated`) are
-        real, and the levels come out exactly real or as exact conjugate
-        pairs.
+        The shift -1/2 sits just left of the reggeon vacuum E = 0, where
+        H - sigma is singular.  When P H* P = H the gauge-rotated bands
+        (`_gauge_rotated`) are real, and the levels come out exactly real
+        or as exact conjugate pairs.
         """
         n = self.bands.shape[1]
         if not 1 <= k <= n:
             raise ConfigurationError(f"k must satisfy 1 <= k <= dim = {n}, got {k}")
-        rotated = _gauge_rotated(self.bands)
-        if not rotated.imag.any():
-            rotated = rotated.real
-        m = k
-        while m < n - 1:
-            ev = _by_modulus(eigenpairs_near(rotated, m, -0.5))
-            if abs(ev[k - 1]) + 0.5 <= np.abs(ev + 0.5).max():
-                return ev[:k]
-            m *= 2
-        return _by_modulus(sla.eigvals(band_matrix(rotated).toarray()))[:k]
+        return _smallest_levels(real_if_exact(_gauge_rotated(self.bands)), k, -0.5)
 
 
 def _by_modulus(ev):
     """Levels ordered by (|E|, Im E)."""
     return ev[np.lexsort((ev.imag, np.abs(ev)))]
+
+
+def _smallest_levels(bands, k, sigma):
+    """The k levels of smallest modulus of the matrix with full bands
+    `bands`, 1 <= k <= n, ordered by (|E|, Im E), so that a conjugate
+    pair lists its negative imaginary part first; and, for real bands,
+    the partner of the k-th level when that one opens a pair.
+
+    Shift-invert around the real `sigma` gives the m >= k levels nearest
+    sigma, all within a radius R of it.  Every other level has
+    |E| >= R - |sigma|, so the k of smallest modulus among the m are those
+    of the whole spectrum once the k-th of them has |E| + |sigma| <= R;
+    otherwise m doubles.  Real bands give exactly real levels and exact
+    conjugate pairs, whose two members lie equally far from sigma, so
+    when the levels taken are not closed under conjugation the solve is
+    repeated for one more level.  ARPACK needs m < n - 1; beyond that one
+    dense solve.
+    """
+    n = bands.shape[1]
+    real = np.isrealobj(bands)
+    m = k
+    while m < n - 1:
+        ev = _by_modulus(eigenpairs_near(bands, m, sigma))
+        if abs(ev[k - 1]) + abs(sigma) > np.abs(ev - sigma).max():
+            m *= 2
+            continue
+        if not real:
+            return ev[:k]
+        top = ev[:k + (ev[k - 1].imag < 0)]
+        if np.array_equal(np.sort_complex(top), np.sort_complex(top.conj())):
+            return top
+        m += 1
+    ev = _by_modulus(sla.eigvals(band_matrix(bands).toarray()))
+    return ev[:k + (real and ev[k - 1].imag < 0)]
 
 
 def _gauge_rotated(bands):
@@ -248,12 +291,20 @@ def swanson_model(delta, g, gtilde, dim):
 
 def fock_report(build, dim, k=10, tol=1e-6):
     """Lowest-k levels of build(dim), 1 <= k <= dim, and their change when
-    the truncation grows from dim to dim + 20."""
+    the truncation grows from dim to dim + 20.
+
+    Either solve may add the partner of its k-th level
+    (`_smallest_levels`); the change covers the levels both give, and a
+    level the larger truncation does not give is flagged.
+    """
     eigs = build(dim).eigenvalues(k)
-    change = np.abs(build(dim + 20).eigenvalues(k) - eigs)
+    wider = build(dim + 20).eigenvalues(k)
+    j = min(eigs.size, wider.size)
+    change = np.abs(wider[:j] - eigs[:j])
+    flagged = [*np.nonzero(change > 1e-8)[0], *range(j, eigs.size)]
     return make_report(eigs, tol=tol, diagnostics={
         "truncation_change": change.tolist(),
-        "flagged": [int(i) for i in np.nonzero(change > 1e-8)[0]],
+        "flagged": [int(i) for i in flagged],
         "dims": [dim, dim + 20]})
 
 

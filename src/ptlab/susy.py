@@ -116,22 +116,24 @@ class DiscretizedHamiltonian:
     """-d^2/dx^2 + V in the band storage of `gridops`."""
     bands: np.ndarray
 
-    def eigensystem(self, k=20):
-        """The k lowest eigenpairs by real part (vectors as columns).
-
-        The shift is min Re V, the interior row sum (the stencil
-        annihilates constants); -Lap is positive definite, so the shift
-        lies left of the whole spectrum.
-        """
+    def _shift(self):
+        """min Re V, the interior row sum (the stencil annihilates
+        constants); -Lap is positive definite, so the shift lies left of
+        the whole spectrum."""
         w = self.bands.shape[0] // 2
-        shift = (self.bands[w].real + 2.0 * self.bands[w + 1:, 0].real.sum()).min()
-        ev, vec = eigenpairs_near(self.bands, k, shift, vectors=True)
+        return (self.bands[w].real + 2.0 * self.bands[w + 1:, 0].real.sum()).min()
+
+    def eigensystem(self, k=20):
+        """The k lowest eigenpairs by real part (vectors as columns)."""
+        ev, vec = eigenpairs_near(self.bands, k, self._shift(), vectors=True)
         order = np.argsort(ev.real)
         return ev[order], vec[:, order]
 
     def eigenvalues(self, k=20):
-        """The k lowest eigenvalues, sorted by real part."""
-        return self.eigensystem(k)[0]
+        """The k lowest eigenvalues, sorted by real part; no eigenvectors
+        are computed."""
+        ev = eigenpairs_near(self.bands, k, self._shift())
+        return ev[np.argsort(ev.real)]
 
 
 def build_partner_hamiltonians(pair: SuperPartnerPair, acc=2):

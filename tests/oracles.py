@@ -229,6 +229,21 @@ def dense_schrodinger(V, dx, acc):
     return -_dense_stencil(_SECOND[acc], V.size) / dx**2 + np.diag(V)
 
 
+def reference_pt_fold(H):
+    """S H S^-1 for the dense matrix H, with S built from its definition:
+    rows 2j and 2j + 1 hold e_j = u_j + u_(n-1-j) and
+    o_j = -i (u_j - u_(n-1-j)); the middle point of an odd n is the last
+    row, unchanged."""
+    n = H.shape[0]
+    S = np.zeros((n, n), dtype=complex)
+    for j in range(n // 2):
+        S[2 * j, [j, n - 1 - j]] = 1.0, 1.0
+        S[2 * j + 1, [j, n - 1 - j]] = -1j, 1j
+    if n % 2:
+        S[n - 1, n // 2] = 1.0
+    return S @ H @ np.linalg.inv(S)
+
+
 def dense_intertwining_residual(pair, probes, conjugate=False):
     """Interior residual of Q H_- - H_+ Q from dense 4th-order matrices.
 

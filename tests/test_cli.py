@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptlab import cli, spectra
+from ptlab import cli, gridops, spectra
 from ptlab.errors import ConfigurationError
 
 
@@ -85,6 +85,40 @@ def test_spectra_swanson_run(tmp_path):
     assert manifest["summary"]["classification"] == "AllReal"
     names = [a["path"] for a in manifest["artifacts"]]
     assert "spectrum.json" in names
+
+
+def test_cubic_default_is_all_real(tmp_path):
+    # solved in its real form, p^2 + i z^3 gives exactly real levels; the
+    # complex solve left |Im| 2.3e-6 on level 10 and said Mixed
+    assert run_main(tmp_path, "spectra", "--model", "monomial", "--N", "3") == cli.EXIT_OK
+    doc = json.loads((tmp_path / "spectrum.json").read_text())
+    assert doc["classification"] == "AllReal"
+    assert len(doc["eigenvalues"]) == 10
+    assert all(e["im"] == 0.0 for e in doc["eigenvalues"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["summary"]["classification"] == "AllReal"
+
+
+@pytest.mark.parametrize("argv, dtype", [
+    (["spectra", "--model", "monomial", "--N", "3"], np.float64),
+    (["spectra", "--model", "reggeon"], np.float64),
+    (["spectra", "--model", "swanson"], np.float64),
+    # the partner potentials come from sampled psi: not PT-symmetric to the bit
+    (["susy", "--profile", "gaussian-complex"], np.complex128),
+], ids=["monomial-N3", "reggeon", "swanson", "susy-gaussian-complex"])
+def test_pt_symmetric_operators_are_solved_in_real_form(tmp_path, monkeypatch, argv, dtype):
+    solve, seen = gridops.eigenpairs_near, []
+
+    def recording(bands, *args, **kwargs):
+        seen.append(bands.dtype)
+        return solve(bands, *args, **kwargs)
+
+    # every ptlab module that holds the solver, so no caller bypasses the record
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ptlab" and getattr(module, "eigenpairs_near", None) is solve:
+            monkeypatch.setattr(module, "eigenpairs_near", recording)
+    assert run_main(tmp_path, *argv) == cli.EXIT_OK
+    assert seen and set(seen) == {np.dtype(dtype)}
 
 
 def test_spectra_metric_reports_condition(tmp_path):

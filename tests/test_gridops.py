@@ -1,12 +1,12 @@
-"""Full-band storage: the matrix-vector product and the Schrodinger bands
-against their dense matrices."""
+"""Full-band storage: the matrix-vector product, the Schrodinger bands and
+the PT fold against their dense matrices."""
 
 import numpy as np
 import pytest
 
-from oracles import dense_schrodinger
+from oracles import dense_schrodinger, reference_pt_fold
 from ptlab import spectra
-from ptlab.gridops import band_matrix, band_matvec, schrodinger_bands
+from ptlab.gridops import band_matrix, band_matvec, pt_fold, schrodinger_bands
 
 
 # a complex potential on a 200-point grid
@@ -40,3 +40,16 @@ def test_schrodinger_bands_are_the_dense_operator(acc):
     ref = dense_schrodinger(V, DX, acc)
     assert bands.shape == (acc + 1, V.size)
     assert np.abs(band_matrix(bands).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [299, 300])
+def test_pt_fold_is_the_dense_fold(n):
+    # the p^2 + i z^3 operator at 4th order with its wall correction: exactly
+    # PT-symmetric on the antisymmetric grid, so its fold is real to the bit
+    bands = spectra._grid_bands(spectra.MonomialModel(N=3).potential, 6.5, n)
+    assert np.iscomplexobj(bands)
+    folded = pt_fold(bands)
+    assert folded.shape == (2 * 5 + 1, n)       # half-width 2w + 1 = 5
+    assert not folded.imag.any()
+    ref = reference_pt_fold(band_matrix(bands).toarray())
+    assert np.abs(band_matrix(folded).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -14,6 +14,7 @@ from oracles import (biorthogonal_metric, bilinear_levels, cubic_ground_energy,
                      reference_metric_objective, reference_metric_search)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
+from ptlab.gridops import pt_fold
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,96 @@ def test_banded_levels_match_dense_matrix(N, half_width, k):
     H[-1, -1] -= (1 / 12) / dz**2
     ref = sla.eigvals(H)
     ref = ref[np.argsort(np.abs(ref))][:k]
-    assert np.abs(spectra._grid_eigs(model, n, k) - ref).max() < 1e-9
+    assert np.abs(spectra._grid_eigs(model.potential, half_width, n, k) - ref).max() < 1e-9
+
+
+def _dense_levels_and_bound(H):
+    """All eigenvalues of the dense H by modulus, and the roundoff bound
+    10 kappa |H|_2 eps on each.
+
+    kappa = |x| |y| / |y^H x| is the eigenvalue condition number from the
+    left and right eigenvectors: both solvers are backward stable, so each
+    level may move by a few kappa |H|_2 eps from the exact one.  The
+    bound takes eps = 2^-52, twice the unit roundoff: on the Swanson
+    models at dims 70-140 the dense oracle alone lies up to 14 |H|_2 u
+    from the exact Bogoliubov levels.
+    """
+    ref, vl, vr = reference_fock_eigenvalues(H)
+    kappa = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
+             / np.abs(np.sum(vl.conj() * vr, axis=0)))
+    return ref, 10.0 * kappa * np.linalg.norm(H, 2) * np.finfo(float).eps
+
+
+def _assert_near(ev, ref, bound):
+    """Each level lies within `bound` of its nearest level in `ref`."""
+    nearest = np.abs(ref[None, :] - ev[:, None]).argmin(axis=1)
+    assert (np.abs(ref[nearest] - ev) <= bound[nearest]).all()
+
+
+def _dense_box_operator(potential, half_width, n):
+    """The dense operator of `spectra._grid_bands`, built without `gridops`."""
+    z = np.arange(1 - n, n, 2) * (half_width / (n + 1))
+    dz = 2.0 * half_width / (n + 1)
+    H = dense_schrodinger(potential(z), dz, acc=4)
+    H[0, 0] -= (1 / 12) / dz**2
+    H[-1, -1] -= (1 / 12) / dz**2
+    return H
+
+
+def _record_band_dtypes(monkeypatch):
+    """The dtypes of the bands each `spectra` eigensolve gets."""
+    seen, solve = [], spectra.eigenpairs_near
+
+    def recording(bands, *args, **kwargs):
+        seen.append(bands.dtype)
+        return solve(bands, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigenpairs_near", recording)
+    return seen
+
+
+@pytest.mark.parametrize("n", [100, 151, 200, 251, 300])
+def test_cubic_levels_from_the_real_form_match_dense_matrix(monkeypatch, n):
+    potential = spectra.MonomialModel(N=3).potential
+    dtypes = _record_band_dtypes(monkeypatch)
+    ev = spectra._grid_eigs(potential, 6.5, n, 10)
+    assert dtypes == [np.float64]
+    assert ev.size == 10 and not ev.imag.any()
+    _assert_near(ev, *_dense_levels_and_bound(_dense_box_operator(potential, 6.5, n)))
+
+
+def test_broken_phase_grid_levels_are_exact_conjugate_pairs():
+    # V = 20 i z in the box |z| < 1 is PT-symmetric past its exceptional
+    # point: its two lowest levels have merged into a pair
+    potential = lambda z: 20j * z
+    ev = spectra._grid_eigs(potential, 1.0, 200, 4)
+    assert abs(ev[0] - (8.639 - 5.245j)) < 1e-3
+    assert ev[1] == ev[0].conj()
+    assert not ev[2:].imag.any()
+    _assert_near(ev, *_dense_levels_and_bound(_dense_box_operator(potential, 1.0, 200)))
+
+
+def test_grid_operator_an_ulp_off_pt_gets_the_complex_solve(monkeypatch):
+    def potential(z):
+        V = spectra.MonomialModel(N=3).potential(z)
+        V[40] = complex(V[40].real, np.nextafter(V[40].imag, np.inf))
+        return V
+
+    assert pt_fold(spectra._grid_bands(potential, 6.5, 200)).imag.any()
+    dtypes = _record_band_dtypes(monkeypatch)
+    ev = spectra._grid_eigs(potential, 6.5, 200, 10)
+    assert dtypes == [np.complex128]
+    assert ev.size == 10
+    _assert_near(ev, *_dense_levels_and_bound(_dense_box_operator(potential, 6.5, 200)))
+
+
+def test_monomial_report_compares_the_levels_both_grids_give(monkeypatch):
+    # the coarse grid completes a pair at k = 2 that the fine one does not
+    levels = {100: np.array([1.0, 2.0 - 1j, 2.0 + 1j]), 199: np.array([1.0, 2.5])}
+    monkeypatch.setattr(spectra, "_grid_eigs", lambda V, h, n, k: levels[n])
+    rep = spectra.monomial_spectrum(spectra.MonomialModel(N=3, n_grid=100), k=2)
+    assert rep.eigenvalues.size == 2
+    assert len(rep.diagnostics["grid_change"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +325,8 @@ FOCK_MODELS = {
 def test_fock_levels_match_dense_oracle(model, dim):
     op = FOCK_MODELS[model](dim)
     ev = op.eigenvalues(10)
-    ref, vl, vr = reference_fock_eigenvalues(op.matrix)
-    # eigenvalue condition numbers |x| |y| / |y^H x| from the oracle's
-    # left and right eigenvectors: both solvers are backward stable, so
-    # each level may move by a few kappa |H|_2 eps from the exact one.  The
-    # bound is 10 kappa |H|_2 eps (eps = 2^-52, twice the unit roundoff):
-    # on the Swanson models at dims 70-140 the dense oracle alone lies up
-    # to 14 |H|_2 u from the exact Bogoliubov levels
-    kappa = (np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
-             / np.abs(np.sum(vl.conj() * vr, axis=0)))
-    bound = 10.0 * kappa * np.linalg.norm(op.matrix, 2) * np.finfo(float).eps
-    nearest = np.abs(ref[None, :] - ev[:, None]).argmin(axis=1)
-    assert (np.abs(ref[nearest] - ev) <= bound[nearest]).all()
+    ref, bound = _dense_levels_and_bound(op.matrix)
+    _assert_near(ev, ref, bound)
     # the same levels as the oracle's ten of smallest modulus (a conjugate
     # pair may come in either order there)
     assert (np.abs(np.abs(ev) - np.abs(ref[:10])) <= bound[:10]).all()
@@ -265,6 +345,51 @@ def test_conjugate_pairs_list_negative_imaginary_part_first():
     assert (ev[ev.imag != 0][0::2].imag < 0).all()
     rep = spectra.fock_report(build, 80, k=10)
     assert rep.pairing == {4: 5, 5: 4, 6: 7, 7: 6, 8: 9, 9: 8}
+
+
+def test_reggeon_report_keeps_the_pair_at_k(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the partner cost a dense solve")
+
+    # the partner comes from an ARPACK solve for one more level
+    monkeypatch.setattr(sla, "eigvals", refuse)
+    # the fifth level by modulus is 11.4342 - 3.2192i; its partner is sixth
+    rep = spectra.fock_report(FOCK_MODELS["reggeon(1,1)"], 80, k=5)
+    ev = rep.eigenvalues
+    assert ev.size == 6 and ev[5] == ev[4].conj()
+    assert abs(ev[4] - (11.4342 - 3.2192j)) < 1e-4
+    assert rep.classification is spectra.Classification.CONJUGATE_PAIRS
+    assert len(rep.diagnostics["truncation_change"]) == 6
+
+
+# at dim 12 the pair's partner comes from the dense solve that takes over
+# at m >= dim - 1
+@pytest.mark.parametrize("dim", [12, 40, 80])
+@pytest.mark.parametrize("delta, g", [(1.0, 1.0), (1.0, 3.0), (2.0, 3.0)])
+def test_levels_never_end_on_half_a_conjugate_pair(delta, g, dim):
+    op = spectra.reggeon_single_site(delta, g, dim)
+    ref, bound = _dense_levels_and_bound(op.matrix)
+    for k in range(1, min(15, dim) + 1):
+        ev = op.eigenvalues(k)
+        assert np.array_equal(np.sort_complex(ev), np.sort_complex(ev.conj())), k
+        # one level more only to complete a pair the k-th opens
+        assert ev.size == k + (ev[k - 1].imag < 0), k
+        assert (np.abs(np.abs(ev) - np.abs(ref[:ev.size])) <= bound[:ev.size]).all(), k
+
+
+def test_fock_report_flags_a_level_only_one_truncation_gives():
+    class Fixed:
+        def __init__(self, ev):
+            self.ev = np.array(ev)
+
+        def eigenvalues(self, k):
+            return self.ev
+
+    levels = {40: [1.0, 2.0 - 1j, 2.0 + 1j], 60: [1.0, 2.5]}
+    rep = spectra.fock_report(lambda d: Fixed(levels[d]), 40, k=2)
+    assert rep.eigenvalues.size == 3
+    assert len(rep.diagnostics["truncation_change"]) == 2
+    assert rep.diagnostics["flagged"] == [1, 2]
 
 
 def test_fock_report_calls_no_dense_eigensolver(monkeypatch):

@@ -124,6 +124,22 @@ def test_banded_levels_match_dense_matrix(profile, acc):
         assert np.abs(h.eigenvalues(k=10) - ref).max() < 1e-9
 
 
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_eigenvalues_compute_no_eigenvectors(monkeypatch, profile):
+    hams = susy.build_partner_hamiltonians(profile_pair(profile))
+    ref = [h.eigensystem(k=10)[0] for h in hams]
+    wanted, solve = [], susy.eigenpairs_near
+
+    def recording(bands, k, sigma, vectors=False):
+        wanted.append(vectors)
+        return solve(bands, k, sigma, vectors)
+
+    monkeypatch.setattr(susy, "eigenpairs_near", recording)
+    for h, ev in zip(hams, ref):
+        assert np.array_equal(h.eigenvalues(k=10), ev)
+    assert wanted == [False, False]
+
+
 @pytest.mark.parametrize("conjugate", [False, True])
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_intertwining_matches_dense_products(profile, conjugate):
