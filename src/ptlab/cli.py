@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from . import cms, kdv, rootsys, spectra, susy
+from . import _blas, cms, kdv, rootsys, spectra, susy
 from .errors import BlowUpError, BranchError, ConfigurationError, PTLabError
 
 EXIT_OK = 0
@@ -442,10 +442,13 @@ RUNNERS = {"spectra": run_spectra, "susy": run_susy, "cms": run_cms,
 
 
 def run(subcommand, raw_params, origin=None):
-    """Resolve, run and write the manifest. Returns (exit_code, manifest_path)."""
+    """Resolve, run and write the manifest. Returns (exit_code, manifest_path).
+
+    The engines run with both OpenBLAS copies at one thread (`_blas`)."""
     params, seed, output_dir = resolve_config(subcommand, raw_params, origin)
     os.makedirs(output_dir, exist_ok=True)
-    artifacts, extra = RUNNERS[subcommand](params, seed, output_dir)
+    with _blas.one_thread():
+        artifacts, extra = RUNNERS[subcommand](params, seed, output_dir)
     manifest = write_manifest(output_dir, subcommand, params, seed, artifacts,
                               extra={"summary": extra})
     return EXIT_OK, manifest
@@ -500,7 +503,10 @@ def run_sweep(config_path, output_dir=None, max_workers=4):
 
     os.makedirs(output_dir, exist_ok=True)
     results = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+    # the cells' own entries nest inside this one, so the counts are set
+    # and restored once per sweep, never between cells
+    with _blas.one_thread(), \
+            concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         for res in pool.map(_sweep_cell, cells):
             results.append(res)
     n_failed = sum(1 for r in results if r["status"] != "ok")

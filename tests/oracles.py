@@ -12,10 +12,11 @@ derivative, a validated field per stage) for the batched one, the
 matrix-exponential metric objective and normal equations (`expm` and
 `expm_frechet` per generator) for the eigendecomposition ones, the
 L-BFGS-B metric search for the Levenberg-Marquardt one, the biorthogonal
-metric from the eigenvectors for any searched one, and the original CMS
-equations of motion (coupling arrays rebuilt per call) and Lax pair
-(per-root loops over the step matrices) for the cached and stacked
-ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
+metric from the eigenvectors for any searched one, the closed-form
+metric diag(e^(c n)) of the Swanson model for the searched one, and the
+original CMS equations of motion (coupling arrays rebuilt per call) and
+Lax pair (per-root loops over the step matrices) for the cached and
+stacked ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
 (q, qdot), the first trajectory right-hand side (f and f' from their
 own sines, a concatenated result) for the one-pass one, the stepping
 loop over scipy's `DOP853` solver object for the one with its own
@@ -442,6 +443,22 @@ def biorthogonal_metric(H):
     """
     _, V = sla.eig(H)
     return np.linalg.inv(V @ V.conj().T)
+
+
+def swanson_metric(g, gtilde, dim):
+    """Exact metric eta = diag(e^(c n)), c = ln(gtilde/g)/4, of the Swanson
+    model Delta N + g a+^2 + gtilde a^2 truncated at `dim`, for g gtilde > 0.
+
+    e^(cN) H e^(-cN) scales the a+^2 band by e^(2c) and the a^2 band by
+    e^(-2c); both become sqrt(g gtilde) times the same square roots, so
+    the transformed matrix is real symmetric in every truncation.  The
+    generator cN lies in the ansatz of `spectra.metric_search`, with
+    coefficients (c, 0, 0).
+    """
+    if not g * gtilde > 0:
+        raise ValueError(f"needs g gtilde > 0, got g={g}, gtilde={gtilde}")
+    c = 0.25 * np.log(gtilde / g)
+    return np.diag(np.exp(c * np.arange(dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from ptlab import cli, gridops, spectra
-from ptlab.errors import ConfigurationError
+from ptlab import _blas, cli, gridops, spectra
+from ptlab.errors import ConfigurationError, PTLabError
 
 
 def write(tmp_path, name, text):
@@ -530,3 +531,118 @@ def test_sweep_refuses_bad_worker_count(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "max_workers" in capsys.readouterr().err
     assert not out.exists()           # refused before any cell ran
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def blas_counts():
+    return [get() for get, _ in _blas._copies()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS copy at 2 threads, so that a restore shows;
+    the counts found are set back afterwards."""
+    copies = _blas._copies()
+    before = blas_counts()
+    for _, set_ in copies:
+        set_(2)
+    assert blas_counts() == [2] * len(copies)
+    yield [2] * len(copies)
+    for (_, set_), n in zip(copies, before):
+        set_(n)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_run_holds_blas_at_one_thread(tmp_path, monkeypatch, two_blas_threads, fails):
+    seen = []
+
+    def recording(params, seed, output_dir):
+        seen.append(blas_counts())
+        if fails:
+            raise PTLabError("runner failed")
+        return [], {}
+
+    monkeypatch.setitem(cli.RUNNERS, "kdv", recording)
+    raw = {"model": "fring", "output_dir": str(tmp_path)}
+    if fails:
+        with pytest.raises(PTLabError, match="runner failed"):
+            cli.run("kdv", raw)
+    else:
+        assert cli.run("kdv", raw)[0] == cli.EXIT_OK
+    assert seen == [[1] * len(two_blas_threads)]
+    assert blas_counts() == two_blas_threads
+
+
+def test_sweep_holds_blas_at_one_thread(tmp_path, monkeypatch, two_blas_threads):
+    seen = []
+
+    def recording(params, seed, output_dir):
+        seen.append(blas_counts())
+        return [], {}
+
+    monkeypatch.setitem(cli.RUNNERS, "kdv", recording)
+    cfg = write(tmp_path, "sweep.cfg", "subcommand=kdv\nmodel=fring\n"
+                "epsilon=1,2,3\nc=1,2\n")
+    code, index = cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"), max_workers=2)
+    assert code == cli.EXIT_OK and len(index["cells"]) == 6
+    assert seen == [[1] * len(two_blas_threads)] * 6
+    assert blas_counts() == two_blas_threads
+
+
+def test_overlapping_entries_restore_once(two_blas_threads):
+    # more threads than cores entering and leaving on their own, with a
+    # short switch interval: a lost update of the depth would restore the
+    # counts under a thread still inside, or never restore them
+    errors = []
+
+    def enter_many():
+        for _ in range(200):
+            with _blas.one_thread():
+                if blas_counts() != [1] * len(two_blas_threads):
+                    errors.append(blas_counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter_many) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert blas_counts() == two_blas_threads
+
+
+@pytest.mark.parametrize("pattern", ["libnot-openblas-*.so", "libgfortran-*.so*"])
+def test_blas_copy_not_found_is_left_alone(tmp_path, monkeypatch, two_blas_threads,
+                                           pattern):
+    # no such library, or a loaded one without the OpenBLAS symbols
+    copies = _blas._copies()
+    monkeypatch.setattr(_blas, "_COPIES", (("numpy", pattern, "64_"),))
+    monkeypatch.setattr(_blas, "_bound", {})
+    with _blas.one_thread():
+        assert _blas._copies() == []
+        assert [get() for get, _ in copies] == two_blas_threads
+    assert cli.run("kdv", {"model": "fring", "t_end": "0.001",
+                           "output_dir": str(tmp_path)})[0] == cli.EXIT_OK
+
+
+def test_blas_lookup_finds_both_openblas_copies():
+    # a wheel that renames the library or its symbols must fail here, not
+    # quietly bring back the second BLAS thread's CPU cost
+    import scipy
+    import scipy.linalg  # noqa: F401  (loads scipy's copy)
+
+    for package, module in (("numpy", np), ("scipy", scipy)):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas["name"] == "scipy-openblas":
+            spec = next(c for c in _blas._COPIES if c[0] == package)
+            fns = _blas._bind(*spec)
+            assert fns is not None, package
+            assert fns[0]() >= 1

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from oracles import (biorthogonal_metric, bilinear_levels, cubic_ground_energy,
                      cubic_interaction_element, dense_schrodinger,
                      reference_fock_eigenvalues, reference_metric_normal_equations,
-                     reference_metric_objective, reference_metric_search)
+                     reference_metric_objective, reference_metric_search,
+                     swanson_metric)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
 from ptlab.gridops import pt_fold
@@ -574,6 +575,36 @@ def test_metric_search_agrees_with_biorthogonal_metric(g, dim):
     for metric in (eta @ eta, eta_bi):
         hd = metric @ H @ np.linalg.inv(metric)
         assert np.linalg.norm(hd - H.conj().T) <= 1e-10 * np.linalg.norm(H)
+
+
+# the scan-small metric cells and criterion 8's model
+@pytest.mark.parametrize("g, gtilde, dim",
+                         [(g, 0.2, dim) for g, dim in SCAN_METRIC_CELLS] + [(0.5, 0.3, 40)])
+def test_metric_search_finds_exact_swanson_metric(g, gtilde, dim):
+    op = spectra.swanson_model(2.0, g, gtilde, dim)
+    H = op.matrix
+    eta_exact = swanson_metric(g, gtilde, dim)
+    h = eta_exact @ H @ np.linalg.inv(eta_exact)
+    assert np.abs(h - h.T).max() <= 8 * np.finfo(float).eps * np.abs(H).max()
+    res = spectra.metric_search(op)
+    assert res.converged and res.positive and res.stop == "floor"
+    # the search stops at the rounding floor r = 50 eps |H|_F.  At the exact
+    # metric [N, h] and [a^2 + a+^2, h] are parallel, so the Jacobian is
+    # singular along one direction, where the residual grows only as K d^2
+    # in the coefficient error d (K = 30-600 on these cells).  r <= floor
+    # therefore pins each coefficient to sqrt(floor / K) < sqrt(floor),
+    # about 1e-6, not to the floor itself
+    pin = np.sqrt(50.0 * np.finfo(float).eps * np.linalg.norm(H))
+    exact = np.array([0.25 * np.log(gtilde / g), 0.0, 0.0])
+    assert np.abs(res.coefficients - exact).max() <= pin
+    # eta = e^A with A Hermitian: |d e^A|_2 <= e^(max L) |dA|_2 to first
+    # order, and |dA|_2 <= pin * sum_k |B_k|_2 over the ansatz generators
+    da = pin * sum(np.linalg.norm(B, 2) for B in spectra.metric_ansatz_basis(dim, 3))
+    assert (np.linalg.norm(res.eta - eta_exact, 2)
+            <= da * np.linalg.norm(eta_exact, 2))
+    # each of max L and min L moves by at most |dA|_2 (Weyl), so the reported
+    # condition number lies within e^(2 |dA|_2) of the exact e^(|c| (dim - 1))
+    assert abs(np.log(res.condition) - abs(exact[0]) * (dim - 1)) <= 2.0 * da
 
 
 def test_metric_search_recovers_exact_swanson_generator():
