@@ -20,7 +20,7 @@ print("max |V_- - (x^2-1)|:        %.2e"
 print("max |V_+ - (x^2+1)|:        %.2e"
       % np.abs(pair.V_plus[sl] - (pair.x[sl]**2 + 1)).max())
 
-hm, hp = susy.build_partner_hamiltonians(pair, acc=4)
+hm, hp = susy.build_partner_hamiltonians(pair)
 em = np.sort(hm.eigenvalues().real)[:5]
 ep = np.sort(hp.eigenvalues().real)[:5]
 print("\nH_- levels:", np.round(em, 6))

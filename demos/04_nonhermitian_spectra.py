@@ -29,7 +29,7 @@ print("cubic model:   ", rep.classification.value,
 
 # metric search: exp(A) H exp(-A) Hermitian over a small Hermitian ansatz
 op = bilinear(80)
-res = spectra.metric_search(op, ansatz_dim=3)
+res = spectra.metric_search(op)
 print(f"\nmetric search: residual {res.residual:.2e} "
       f"converged={res.converged} positive={res.positive}")
 print("isospectrality of the transform:",

@@ -21,7 +21,6 @@ from .errors import ConfigurationError
 
 # central stencils, (offset: coefficient); divide by dx**order
 _C1_ACC4 = {-2: 1 / 12, -1: -2 / 3, 1: 2 / 3, 2: -1 / 12}
-_C2_ACC2 = {-1: 1.0, 0: -2.0, 1: 1.0}
 _C2_ACC4 = {-2: -1 / 12, -1: 4 / 3, 0: -5 / 2, 1: 4 / 3, 2: -1 / 12}
 
 # one-sided stencils for sample differentiation at the edges
@@ -51,16 +50,15 @@ def real_if_exact(a):
     return a.real if np.iscomplexobj(a) and not a.imag.any() else a
 
 
-def schrodinger_bands(V, dx, acc=2):
-    """Full bands of -d^2/dx^2 + V (real when V is), Dirichlet boundaries."""
+def schrodinger_bands(V, dx):
+    """Full bands of -d^2/dx^2 + V (real when V is) at 4th order, Dirichlet boundaries."""
     V = real_if_exact(np.asarray(V))
     n = V.size
-    st = {2: _C2_ACC2, 4: _C2_ACC4}[acc]
-    w = max(st)
+    w = max(_C2_ACC4)
     bands = np.zeros((2 * w + 1, n), dtype=np.result_type(V, float))
-    bands[w] = V - st[0] / dx**2
+    bands[w] = V - _C2_ACC4[0] / dx**2
     for d in range(1, w + 1):
-        bands[w - d, :n - d] = bands[w + d, :n - d] = -st[d] / dx**2
+        bands[w - d, :n - d] = bands[w + d, :n - d] = -_C2_ACC4[d] / dx**2
     return bands
 
 

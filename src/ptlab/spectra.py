@@ -125,7 +125,7 @@ def _grid_bands(potential, half_width, n):
     # which keeps full 4th-order accuracy for states that reach the wall.
     z = np.arange(1 - n, n, 2) * (half_width / (n + 1))
     dz = 2.0 * half_width / (n + 1)
-    bands = schrodinger_bands(potential(z), dz, acc=4)
+    bands = schrodinger_bands(potential(z), dz)
     bands[2, [0, -1]] -= (1 / 12) / dz**2     # row 2: the diagonal
     return bands
 
@@ -318,14 +318,11 @@ def is_pt_symmetric_fock(op: TruncatedFockOperator):
 # metric search
 # ---------------------------------------------------------------------------
 
-def metric_ansatz_basis(dim, ansatz_dim=3):
-    """The first ansatz_dim of the Hermitian generators N, a^2 + a+^2 and
-    i(a^2 - a+^2)."""
-    if not 1 <= ansatz_dim <= 3:
-        raise ConfigurationError("ansatz_dim must be in 1..3")
+def metric_ansatz_basis(dim):
+    """The Hermitian generators N, a^2 + a+^2 and i(a^2 - a+^2)."""
     a, ad = annihilation(dim), creation(dim)
     a2, ad2 = a @ a, ad @ ad
-    return [number_op(dim), a2 + ad2, 1j * (a2 - ad2)][:ansatz_dim]
+    return [number_op(dim), a2 + ad2, 1j * (a2 - ad2)]
 
 
 @dataclass
@@ -391,8 +388,8 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
     Marquardt's diagonal damping, floored at 1% of its largest entry, with
     Nielsen's gain-ratio update of the damping (Madsen, Nielsen & Tingleff,
     Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2), whose
-    decrease is capped at 10x per step.  The damped system, ansatz_dim
-    square, is solved from the eigenpairs of the scaled J^T J, which stay
+    decrease is capped at 10x per step.  The damped system, one row per
+    generator, is solved from the eigenpairs of the scaled J^T J, which stay
     defined where J^T J is singular to rounding.  The loop stops at
     "floor" once a step predicts a reduction of r^2 below `f_floor`
     (rounding, not the model, would decide the step), at "stall" once a
@@ -436,7 +433,7 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
     return x, f, nfev, "cap"
 
 
-def metric_search(op: TruncatedFockOperator, ansatz_dim=3):
+def metric_search(op: TruncatedFockOperator):
     """Search for a Hermitian generator A with exp(A) H exp(-A) Hermitian,
     H the matrix of `op`.
 
@@ -452,7 +449,7 @@ def metric_search(op: TruncatedFockOperator, ansatz_dim=3):
     inner products in eta carry some digits.
     """
     H = np.asarray(op.matrix, dtype=complex)
-    basis = metric_ansatz_basis(H.shape[0], ansatz_dim)
+    basis = metric_ansatz_basis(H.shape[0])
     scale = np.linalg.norm(H)
     tol = 1e-8 * (1.0 + scale)
     # rounding in eigh leaves r at about 20 eps |H| near a metric (Swanson,

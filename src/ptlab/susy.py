@@ -20,6 +20,10 @@ from .gridops import band_matvec, derivative, eigenpairs_near, schrodinger_bands
 
 NODE_REL_TOL = 1e-12
 
+# rows at each edge that `verify_intertwining` leaves out; a grid keeps one more
+EDGE_ROWS = 12
+MIN_SAMPLES = 2 * EDGE_ROWS + 1
+
 
 @dataclass(frozen=True)
 class GridWavefunction:
@@ -31,8 +35,8 @@ class GridWavefunction:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
         if not self.dx > 0:
             raise ConfigurationError("dx must be positive")
-        if self.values.size < 16:
-            raise ConfigurationError("need at least 16 samples")
+        if self.values.size < MIN_SAMPLES:
+            raise ConfigurationError(f"need at least {MIN_SAMPLES} samples")
         if not np.isfinite(self.values).all():
             raise ConfigurationError("wavefunction samples must be finite")
 
@@ -46,8 +50,8 @@ class GridWavefunction:
 
     @classmethod
     def from_callable(cls, f, window, n):
-        if n < 16:
-            raise ConfigurationError("need at least 16 samples")
+        if n < MIN_SAMPLES:
+            raise ConfigurationError(f"need at least {MIN_SAMPLES} samples")
         x = np.linspace(window[0], window[1], n)
         return cls(x0=x[0], dx=x[1] - x[0], values=np.asarray(f(x), dtype=complex))
 
@@ -97,17 +101,22 @@ def superpotential_from_groundstate(psi: GridWavefunction, E_m=0.0):
     """Build W and the partner potentials from a nodeless ground state.
 
     Derivatives use 4th-order central stencils; the construction is
-    invariant under psi -> c psi since only ratios psi'/psi enter.
+    invariant under psi -> c psi since only ratios psi'/psi enter.  A psi
+    that underflows is refused where V_+, which holds both ratios, is not finite.
     """
     require_finite(E_m=E_m)
     _check_nodeless(psi)
     dpsi = derivative(psi.values, psi.dx, order=1)
     d2psi = derivative(psi.values, psi.dx, order=2)
-    r = dpsi / psi.values
-    W = -r
-    V_minus = d2psi / psi.values
-    V_plus = 2.0 * r**2 - V_minus
-    return SuperPartnerPair(x0=psi.x0, dx=psi.dx, W=W,
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = dpsi / psi.values
+        V_minus = d2psi / psi.values
+        V_plus = 2.0 * r**2 - V_minus
+    bad = ~np.isfinite(V_plus)
+    if bad.any():
+        raise ConfigurationError(f"W or V_(-+) is not finite at x = {psi.x[bad.argmax()]:g}: "
+                                 "the ground state underflows there")
+    return SuperPartnerPair(x0=psi.x0, dx=psi.dx, W=-r,
                             V_minus=V_minus, V_plus=V_plus, E_m=complex(E_m))
 
 
@@ -136,14 +145,10 @@ class DiscretizedHamiltonian:
         return ev[np.argsort(ev.real)]
 
 
-def build_partner_hamiltonians(pair: SuperPartnerPair, acc=2):
-    """Partner Hamiltonians -Lap + V_(-+) + E_m with Dirichlet boundaries.
-
-    acc=2 gives the plain 3-point Laplacian; acc=4 is available for
-    checks that need the discretization error below the target tolerance.
-    """
+def build_partner_hamiltonians(pair: SuperPartnerPair):
+    """Partner Hamiltonians -Lap + V_(-+) + E_m at 4th order, Dirichlet boundaries."""
     E_m = complex(pair.E_m)
-    return tuple(DiscretizedHamiltonian(schrodinger_bands(V + E_m, pair.dx, acc=acc))
+    return tuple(DiscretizedHamiltonian(schrodinger_bands(V + E_m, pair.dx))
                  for V in (pair.V_minus, pair.V_plus))
 
 
@@ -168,19 +173,18 @@ def verify_intertwining(pair: SuperPartnerPair, conjugate=False):
     stencils do not resolve) and normalized by the action of H_- on the
     probe, so the value is grid-independent up to discretization error.
     Q and H act on the probes directly (`derivative`, `band_matvec`).
-    The 12 boundary rows at each end, where truncated or one-sided
-    stencils break the algebra, are excluded.  The operators are 4th
-    order, and so is the convergence of the residual under grid
-    refinement.
+    The `EDGE_ROWS` boundary rows at each end are excluded.  The
+    operators are 4th order, and so is the convergence of the residual
+    under grid refinement.
     """
-    H_minus, H_plus = build_partner_hamiltonians(pair, acc=4)
+    H_minus, H_plus = build_partner_hamiltonians(pair)
     sign, first, second = ((-1.0, H_plus, H_minus) if conjugate
                            else (1.0, H_minus, H_plus))
 
     def charge(u):
         return sign * derivative(u, pair.dx, order=1) + pair.W * u
 
-    sl = slice(12, pair.W.size - 12)
+    sl = slice(EDGE_ROWS, pair.W.size - EDGE_ROWS)
     worst = 0.0
     for u in _probe_states(pair.x):
         r = charge(band_matvec(first.bands, u)) - band_matvec(second.bands, charge(u))

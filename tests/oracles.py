@@ -214,7 +214,7 @@ def rational_calogero_lax_reference(q, g):
 # ---------------------------------------------------------------------------
 
 # textbook central stencils, lowest offset first
-_SECOND = {2: (1.0, -2.0, 1.0), 4: (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)}
+_SECOND4 = (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)
 _FIRST4 = (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12)
 
 
@@ -224,10 +224,10 @@ def _dense_stencil(coeffs, n):
     return sum(c * np.eye(n, k=j - w) for j, c in enumerate(coeffs))
 
 
-def dense_schrodinger(V, dx, acc):
-    """Dense -d^2/dx^2 + V with Dirichlet boundaries."""
+def dense_schrodinger(V, dx):
+    """Dense -d^2/dx^2 + V at 4th order with Dirichlet boundaries."""
     V = np.asarray(V, dtype=complex)
-    return -_dense_stencil(_SECOND[acc], V.size) / dx**2 + np.diag(V)
+    return -_dense_stencil(_SECOND4, V.size) / dx**2 + np.diag(V)
 
 
 def reference_pt_fold(H):
@@ -258,8 +258,8 @@ def dense_intertwining_residual(pair, probes, conjugate=False):
     n = pair.W.size
     d1 = _dense_stencil(_FIRST4, n) / pair.dx
     Q = (-d1 if conjugate else d1) + np.diag(pair.W)
-    hm = dense_schrodinger(pair.V_minus + pair.E_m, pair.dx, 4)
-    hp = dense_schrodinger(pair.V_plus + pair.E_m, pair.dx, 4)
+    hm = dense_schrodinger(pair.V_minus + pair.E_m, pair.dx)
+    hp = dense_schrodinger(pair.V_plus + pair.E_m, pair.dx)
     first, second = (hp, hm) if conjugate else (hm, hp)
     R = Q @ first - second @ Q
     bound = np.abs(Q) @ np.abs(first) + np.abs(second) @ np.abs(Q)
@@ -405,7 +405,7 @@ def reference_metric_objective(coeffs, H, basis):
     return r2, 2.0 * jtr
 
 
-def reference_metric_search(H, ansatz_dim=3, seed=None, restarts=1):
+def reference_metric_search(H, seed=None, restarts=1):
     """ptlab's metric search before Levenberg-Marquardt: L-BFGS-B on
     (r^2, gradient) from `spectra._metric_residual_and_grad`, with the
     same starts and coordinate scaling.  Its `ftol=1e-18` acts as an
@@ -415,7 +415,7 @@ def reference_metric_search(H, ansatz_dim=3, seed=None, restarts=1):
     from ptlab import spectra
 
     H = np.asarray(H, dtype=complex)
-    basis = spectra.metric_ansatz_basis(H.shape[0], ansatz_dim)
+    basis = spectra.metric_ansatz_basis(H.shape[0])
     rng = np.random.default_rng(seed)
     bscale = np.array([1.0 / (1.0 + np.linalg.norm(B, 2)) for B in basis])
     scaled_basis = [s * B for s, B in zip(bscale, basis)]

@@ -108,7 +108,7 @@ def test_criterion_05_susy_suite():
     pot_err = max(np.abs(pair.W[sl] - x).max(),
                   np.abs(pair.V_minus[sl] - (x**2 - 1.0)).max(),
                   np.abs(pair.V_plus[sl] - (x**2 + 1.0)).max())
-    hm, hp = susy.build_partner_hamiltonians(pair, acc=4)
+    hm, hp = susy.build_partner_hamiltonians(pair)
     em = np.sort(hm.eigenvalues().real)
     ep = np.sort(hp.eigenvalues().real)
     iso_err = np.abs(em[1:11] - ep[:10]).max()
@@ -164,9 +164,9 @@ def test_criterion_07_fock_reality_and_stability():
 
 def test_criterion_08_metric_search():
     op = spectra.swanson_model(2.0, 0.5, 0.3, 40)
-    res = spectra.metric_search(op, ansatz_dim=3)
+    res = spectra.metric_search(op)
     iso = spectra.similarity_spectrum_check(op, res.eta)
-    basis = spectra.metric_ansatz_basis(40, 3)
+    basis = spectra.metric_ansatz_basis(40)
     rng = np.random.default_rng(88)
     c0 = rng.normal(scale=0.1, size=3)
     _, grad = spectra._metric_residual_and_grad(c0, op.matrix, basis)

@@ -154,6 +154,19 @@ def test_susy_run_writes_all_artifacts(tmp_path):
     assert manifest["summary"]["intertwining_residual"] < 1e-2
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "gaussian-complex"])
+def test_susy_defaults_give_converged_levels(tmp_path, profile):
+    # psi = exp(-x^2/2 + i alpha x): H_- = p^2 + (x - i alpha)^2 - 1 has the
+    # levels 2n and H_+ the levels 2n + 2.  At n = 800 on -8:8 the 4th-order
+    # Laplacian misses them by 4.9e-6 and 2.3e-5; the 3-point one by 4.5e-3
+    assert run_main(tmp_path, "susy", "--profile", profile) == cli.EXIT_OK
+    for name, first, bound in (("minus", 0.0, 1e-5), ("plus", 2.0, 5e-5)):
+        doc = json.loads((tmp_path / f"spectrum_{name}.json").read_text())
+        levels = np.array([e["re"] + 1j * e["im"] for e in doc])
+        assert levels.size == 10
+        assert np.abs(levels - (first + 2.0 * np.arange(10))).max() < bound
+
+
 def test_cms_check_run(tmp_path):
     code = run_main(tmp_path, "cms", "--family", "A", "--rank", "2",
                     "--check", "mu-identity", "--samples", "5")
@@ -393,12 +406,19 @@ _NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "1
     ["kdv", "--model", "fring", "--snapshots", "0"],
     ["kdv", "--model", "fring", "--snapshots", "-2"],
     ["kdv", "--model", "fring", "--t-end", "0.01", "--dt", "1e-3", "--snapshots", "12"],
+    # windows where the ground state underflows, so W and V_(-+) are not finite
+    ["susy", "--window=-40:40", "--n", "2000"],
+    ["susy", "--window=-38:38", "--n", "2000"],
+    ["susy", "--window", "100:200"],
+    # too few samples for the rows verify_intertwining keeps
+    ["susy", "--n", "16"],
+    ["susy", "--n", "24"],
 ])
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
     # k must satisfy 1 <= k < n - 1 on every grid engine and 1 <= k <= dim
     # on the Fock engines; other bad values (step size, record spacing,
-    # sample, grid and snapshot counts, tolerance, window, NaN, infinity)
-    # are config errors too
+    # sample, grid and snapshot counts, tolerance, window, NaN, infinity,
+    # a ground state that underflows) are config errors too
     if argv is _NAN_FORCE:
         # a NaN force once kept the trajectory solver stepping for good:
         # a regression must fail here, not hang the suite

@@ -19,8 +19,7 @@ BANDED = {
     # g != gtilde: the bands above and below the diagonal differ
     "swanson": lambda: spectra.swanson_model(2.0, 0.5, 0.2, 60).bands,
     "reggeon": lambda: spectra.reggeon_single_site(1.0, 0.3, 60).bands,
-    "grid-acc2": lambda: schrodinger_bands(V, DX, 2),
-    "grid-acc4": lambda: schrodinger_bands(V, DX, 4),
+    "grid-acc4": lambda: schrodinger_bands(V, DX),
 }
 
 
@@ -34,11 +33,10 @@ def test_band_matvec_is_the_matrix_product(name):
     assert np.abs(band_matvec(bands, u) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("acc", [2, 4])
-def test_schrodinger_bands_are_the_dense_operator(acc):
-    bands = schrodinger_bands(V, DX, acc)
-    ref = dense_schrodinger(V, DX, acc)
-    assert bands.shape == (acc + 1, V.size)
+def test_schrodinger_bands_are_the_dense_operator():
+    bands = schrodinger_bands(V, DX)
+    ref = dense_schrodinger(V, DX)
+    assert bands.shape == (5, V.size)
     assert np.abs(band_matrix(bands).toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 

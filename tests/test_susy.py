@@ -62,6 +62,18 @@ def test_decayed_tails_are_not_nodes():
     susy.superpotential_from_groundstate(psi)     # must not raise
 
 
+@pytest.mark.parametrize("window, n, first_bad", [
+    ((-40.0, 40.0), 2000, -40.0),     # psi is 0 at the edges
+    ((-38.0, 38.0), 2000, -38.0),     # psi is subnormal at the edges
+    ((100.0, 200.0), 800, 100.0),     # psi is 0 everywhere
+], ids=["zero-edges", "subnormal-edges", "zero-everywhere"])
+def test_underflowing_groundstate_refused(window, n, first_bad):
+    psi = susy.GridWavefunction.from_callable(
+        lambda x: np.exp(-x**2 / 2.0), window, n)
+    with pytest.raises(ConfigurationError, match=f"x = {first_bad:g}:"):
+        susy.superpotential_from_groundstate(psi)
+
+
 def test_complex_groundstate_supported():
     pair = susy.superpotential_from_groundstate(
         susy.GridWavefunction.from_callable(
@@ -77,7 +89,7 @@ def test_complex_groundstate_supported():
 
 def test_partner_spectra_shifted_by_gap():
     pair = gaussian_pair(n=1200, window=(-10, 10))
-    hm, hp = susy.build_partner_hamiltonians(pair, acc=4)
+    hm, hp = susy.build_partner_hamiltonians(pair)
     em = hm.eigenvalues().real
     ep = hp.eigenvalues().real
     # oscillator pair: minus spectrum 0,2,4,..., plus spectrum 2,4,6,...
@@ -113,13 +125,12 @@ def profile_pair(profile, n=400):
         susy.GridWavefunction.from_callable(PROFILES[profile], (-8, 8), n))
 
 
-@pytest.mark.parametrize("acc", [2, 4])
 @pytest.mark.parametrize("profile", sorted(PROFILES))
-def test_banded_levels_match_dense_matrix(profile, acc):
+def test_banded_levels_match_dense_matrix(profile):
     pair = profile_pair(profile)
-    hams = susy.build_partner_hamiltonians(pair, acc=acc)
+    hams = susy.build_partner_hamiltonians(pair)
     for h, V in zip(hams, (pair.V_minus, pair.V_plus)):
-        ref = sla.eigvals(dense_schrodinger(V, pair.dx, acc))
+        ref = sla.eigvals(dense_schrodinger(V, pair.dx))
         ref = ref[np.argsort(ref.real)][:10]
         assert np.abs(h.eigenvalues(k=10) - ref).max() < 1e-9
 
@@ -163,7 +174,7 @@ def test_level_count_refused():
 
 def test_charge_maps_first_excited_to_partner_ground():
     pair = gaussian_pair(n=1400, window=(-9, 9))
-    hm, hp = susy.build_partner_hamiltonians(pair, acc=4)
+    hm, hp = susy.build_partner_hamiltonians(pair)
     evm, vecm = hm.eigensystem()
     phi1 = susy.GridWavefunction(pair.x0, pair.dx, vecm[:, 1])
     mapped = susy.map_wavefunction(pair, phi1)
@@ -234,6 +245,14 @@ def test_case_quartet_warning_on_vanishing_imaginary_part():
 def test_wavefunction_requires_enough_samples():
     with pytest.raises(ValueError):
         susy.GridWavefunction(0.0, 0.1, np.ones(8))
+    n = susy.MIN_SAMPLES
+    with pytest.raises(ConfigurationError):
+        susy.GridWavefunction(0.0, 0.1, np.ones(n - 1))
+    with pytest.raises(ConfigurationError):
+        susy.GridWavefunction.from_callable(np.ones_like, (-1.0, 1.0), n - 1)
+    # the smallest grid leaves verify_intertwining one row to measure
+    resid = susy.verify_intertwining(gaussian_pair(n=n))
+    assert np.isfinite(resid) and resid > 0.0
 
 
 @given(st.floats(0.05, 0.5), st.integers(64, 256))
