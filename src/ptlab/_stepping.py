@@ -180,20 +180,25 @@ def integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
     """Step y' = rhs(t, y) from y(stops[0]) = y0 through the times `stops`.
 
     `stops` run strictly monotonically, forward or backward, from the
-    start time; record(t, y) is called at each in order, with y from the
-    dense output of the accepted step that covers t, or that step's own
-    end state when it lands on t.  check(t, y), when not None, sees the
-    state after each accepted step before any of that step's records.
-    Each step keeps its local error within rtol |y| + atol, componentwise
-    (the norm is the RMS over the components of y, complex or real), and
-    spans at most max_step (np.inf for no bound).  With one stop nothing
-    is stepped and rhs is never called.
+    start time.  record(ts, ys) takes them in order, in batches: first
+    the start alone (ts = stops[:1], ys = y0[None]), then, for each
+    accepted step that covers stop times, all of them at once.  Row i of
+    ys is the state at ts[i], from one vectorised evaluation of that
+    step's dense output, or the step's own end state where ts[i] lands on
+    its end.  check(t, y), when not None, sees the state after each
+    accepted step before that step's batch.  Each step keeps its local
+    error within rtol |y| + atol, componentwise (the norm is the RMS over
+    the components of y, complex or real), and spans at most max_step
+    (np.inf for no bound).  With one stop nothing is stepped and rhs is
+    never called.
 
     An engine error (PTLabError) raised by rhs, record or check, or a
     step size that collapses ends the run; neither is raised from here.
-    The returned Stop says how far the records reach: to the last
-    accepted step, or to the last record made after it.
+    A record that raises must keep none of its batch.  The returned Stop
+    says how far the records reach: to the last accepted step whose
+    batch was recorded.
     """
+    stops = np.asarray(stops, dtype=float)
     direction = 1.0 if stops[-1] >= stops[0] else -1.0
     t_done, y_done = stops[0], y0
     j = 1
@@ -204,19 +209,27 @@ def integrate(rhs, y0, stops, rtol, atol, max_step, record, check):
         return rhs(t, y)
 
     try:
-        record(stops[0], y0)
+        record(stops[:1], y0[None])
         for t, y, interpolant in _dop853(counted, stops[0], y0, stops[-1], rtol, atol,
                                          max_step, counts):
             counts[1] += 1
             if check is not None:
                 check(t, y)
-            # a stop strictly inside the step needs the interpolant
-            dense = interpolant() if direction * (t - stops[j]) > 0 else None
-            while j < len(stops) and direction * (t - stops[j]) >= 0:
-                y_j = y if stops[j] == t else dense(stops[j])
-                record(stops[j], y_j)
-                t_done, y_done = stops[j], y_j
-                j += 1
+            k = j
+            while k < len(stops) and direction * (t - stops[k]) >= 0:
+                k += 1
+            if k > j:
+                ts = stops[j:k]
+                if direction * (t - ts[0]) > 0:
+                    # stops strictly inside the step need the interpolant;
+                    # only the last can land on t
+                    ys = interpolant()(ts)
+                    if ts[-1] == t:
+                        ys[-1] = y
+                else:
+                    ys = y[None]        # the one stop lands on t
+                record(ts, ys)
+                j = k
             t_done, y_done = t, y
     except PTLabError as exc:
         return Stop(t_done, y_done, exc, *counts)
@@ -228,7 +241,8 @@ def _dop853(rhs, t, y, t_end, rtol, atol, max_step, counts):
 
     Ends at t_end, or early when the step size falls below 10 ulp(t).
     interpolant() evaluates the 3 extra stages of the step just yielded
-    and returns its dense output y(s); call it before the next step.
+    and returns its dense output, whose rows y(s) are the states at the
+    times s; call it before the next step.
     Each rejected step attempt adds 1 to counts[2].
     """
     if t == t_end:         # one stop: the first-step rule would divide by a zero span
@@ -316,10 +330,11 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol, max_step):
 
 
 def _interpolant(rhs, t_old, y_old, h, hA, y, K, Kr):
-    """DOP853's 7th-order dense output y(s) over the step h from y(t_old) to y.
+    """DOP853's 7th-order dense output over the step h from y(t_old) to y.
 
     Evaluates the 3 extra stages (rows 13-15 of K, with hA = h * A); rows
-    0 and 12 hold f at the two ends of the step.
+    0 and 12 hold f at the two ends of the step.  The returned at(s) maps
+    an array of times s to the states y(s), one row each.
     """
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
         K[s] = rhs(t_old + C[s] * h, y_old + _combine(hA[s, :s], Kr, K.dtype))
@@ -331,11 +346,14 @@ def _interpolant(rhs, t_old, y_old, h, hA, y, K, Kr):
     F[3:] = _combine(h * D, Kr, K.dtype)
 
     def at(s):
-        x = (s - t_old) / h
-        out = np.zeros_like(y_old)
-        # y_old + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6))))
+        x = ((s - t_old) / h)[:, None]
+        # y_old + x (F0 + (1 - x) (F1 + x (F2 + ... (F5 + x F6)))), in
+        # place, since a batch of times can be large
+        out = np.zeros((x.size, y.size), dtype=K.dtype)
         for i, f in enumerate(F[::-1]):
-            out = (out + f) * (x if i % 2 == 0 else 1 - x)
-        return y_old + out
+            out += f
+            out *= x if i % 2 == 0 else 1 - x
+        out += y_old
+        return out
 
     return at

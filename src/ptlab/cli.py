@@ -187,12 +187,13 @@ def write_json(path, obj):
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_FMT % v if isinstance(v, float) else str(v)
-                              for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path, header, columns):
+    """One line of header, then a row per entry of the equal-length columns:
+    integer columns as %d, the others, real, as _FMT."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else _FMT for c in columns)
+    rows = [fmt % r + "\n" for r in zip(*(c.tolist() for c in columns))]
+    _atomic_write(path, "".join([",".join(header) + "\n", *rows]))
 
 
 def _sha256(path):
@@ -216,11 +217,6 @@ def write_manifest(output_dir, subcommand, params, seed, artifacts, extra=None):
     path = os.path.join(output_dir, "manifest.json")
     write_json(path, manifest)
     return path
-
-
-def _c(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +283,13 @@ def run_susy(params, seed, output_dir):
 
     arts = []
     p1 = os.path.join(output_dir, "groundstate.csv")
-    write_csv(p1, ["x", "re_psi", "im_psi"],
-              [(x, v.real, v.imag) for x, v in zip(psi.x, psi.values)])
+    write_csv(p1, ["x", "re_psi", "im_psi"], [psi.x, psi.values.real, psi.values.imag])
     arts.append(p1)
     p2 = os.path.join(output_dir, "partner_potentials.csv")
     write_csv(p2, ["x", "re_w", "im_w", "re_v_minus", "im_v_minus",
                    "re_v_plus", "im_v_plus"],
-              [(x, w.real, w.imag, vm.real, vm.imag, vp.real, vp.imag)
-               for x, w, vm, vp in zip(pair.x, pair.W, pair.V_minus, pair.V_plus)])
+              [pair.x, *(part for z in (pair.W, pair.V_minus, pair.V_plus)
+                         for part in (z.real, z.imag))])
     arts.append(p2)
     for name, ev in levels.items():
         path = os.path.join(output_dir, f"spectrum_{name}.json")
@@ -334,17 +329,17 @@ def run_cms(params, seed, output_dir):
     if params["check"] != "none":
         if params["samples"] < 1:
             raise ConfigurationError(f"samples must be >= 1, got {params['samples']}")
-        rows = []
-        for i in range(params["samples"]):
+        res = []
+        for _ in range(params["samples"]):
             q, p = _random_cms_state(rng, system)
             s = system.at(q, p)
             if params["check"] == "mu-identity":
-                rows.append((i, cms.verify_mu_identity(s)))
+                res.append(cms.verify_mu_identity(s))
             else:
-                rows.append((i, cms.lax_residual(s, basis)))
+                res.append(cms.lax_residual(s, basis))
+        res = np.array(res, dtype=float)
         path = os.path.join(output_dir, f"{params['check']}.csv")
-        write_csv(path, ["sample", "residual"], rows)
-        res = np.array([r[1] for r in rows])
+        write_csv(path, ["sample", "residual"], [np.arange(res.size), res])
         return [path], {"max_residual": float(res.max()),
                         "median_residual": float(np.median(res))}
 
@@ -359,22 +354,14 @@ def run_cms(params, seed, output_dir):
               + ["re_H", "im_H"])
     n_charge = 3 if basis is not None else 0
     header += [f"{part}_I{k}" for k in range(2, 2 + n_charge) for part in ("re", "im")]
-    rows = []
-    for j, t in enumerate(traj.times):
-        row = [float(t)]
-        for i in range(d):
-            row += _c(traj.q[j, i])
-        for i in range(d):
-            row += _c(traj.p[j, i])
-        row += _c(traj.energy[j])
-        if basis is not None:
-            charges = cms.conserved_charges(
-                system.at(traj.q[j], traj.p[j]), basis, 2 + n_charge - 1)
-            for ck in charges[1:]:
-                row += _c(ck)
-        rows.append(row)
+    # complex columns: q_i, p_i, H and the charges I_k
+    cplx = [*traj.q.T, *traj.p.T, traj.energy]
+    if basis is not None:
+        charges = [cms.conserved_charges(system.at(q, p), basis, 2 + n_charge - 1)[1:]
+                   for q, p in zip(traj.q, traj.p)]
+        cplx += list(np.array(charges, dtype=complex).reshape(-1, n_charge).T)
     path = os.path.join(output_dir, "trajectory.csv")
-    write_csv(path, header, rows)
+    write_csv(path, header, [traj.times, *(part for z in cplx for part in (z.real, z.imag))])
     return [path], {"completed": traj.completed}
 
 
@@ -388,9 +375,8 @@ def run_kdv(params, seed, output_dir):
                  "profile_file": None, "residual": None}
         if rep.exists:
             ppath = os.path.join(output_dir, "profile.csv")
-            write_csv(ppath, ["x", "re_u", "im_u"],
-                      [(x, u.real, u.imag)
-                       for x, u in zip(rep.profile.x, rep.profile.values)])
+            u = rep.profile.values
+            write_csv(ppath, ["x", "re_u", "im_u"], [rep.profile.x, u.real, u.imag])
             arts.append(ppath)
             entry["profile_file"] = os.path.basename(ppath)
             entry["residual"] = kdv.traveling_wave_defect(rep, dt=params["dt"])
@@ -426,13 +412,13 @@ def _write_evolution(ev, output_dir):
     for j, (t, snap) in enumerate(zip(ev.times, ev.snapshots)):
         path = os.path.join(output_dir, f"snapshot_{j:03d}.csv")
         write_csv(path, ["x", "re_u", "im_u"],
-                  [(x, u.real, u.imag) for x, u in zip(snap.x, snap.values)])
+                  [snap.x, snap.values.real, snap.values.imag])
         arts.append(path)
     mon = ev.monitor
     cpath = os.path.join(output_dir, "charges.csv")
+    M, P, E = (np.array(v, dtype=complex) for v in (mon.M, mon.P, mon.E))
     write_csv(cpath, ["t", "M", "P", "re_E", "im_E"],
-              [(t, m.real, p.real, e.real, e.imag)
-               for t, m, p, e in zip(mon.times, mon.M, mon.P, mon.E)])
+              [mon.times, M.real, P.real, E.real, E.imag])
     arts.append(cpath)
     return arts
 

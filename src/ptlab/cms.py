@@ -272,12 +272,13 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
     The flow is qdot = p + i mu, qddot = -grad U (see `_flow`); each step
     keeps its local error below TRAJECTORY_TOL, relative and absolute.
     Records at t = 0, every record_every * dt and at the end come from
-    the solver's dense output and carry p = qdot - i mu(q).  A step that
-    nears a singular hyperplane, or a step size that collapses, ends the
-    run with `completed=False`; the records up to the last accepted step
-    are kept and `error` names the time they reach.  The trajectory also
-    carries the stepper's counts of evaluations and of accepted and
-    rejected steps.
+    the solver's dense output, in one batch per accepted step, and carry
+    p = qdot - i mu(q).  A step, or a record, that nears a singular
+    hyperplane, or a step size that collapses, ends the run with
+    `completed=False`; the records up to the last accepted step whose
+    batch was recorded are kept and `error` names the time they reach.
+    The trajectory also carries the stepper's counts of evaluations and
+    of accepted and rejected steps.
     """
     if not 0 < dt < np.inf or n_steps < 0 or record_every < 1:
         raise ConfigurationError(
@@ -294,17 +295,17 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
         out[d:] = _force(sys, *sys.potential.f_fprime(aq))
         return out
 
-    ts, qs, ps, es = [], [], [], []
+    records = []                        # (t, q, p, H) rows
 
-    def record(t, y):
-        q = y[:d]
-        f = sys.potential.f(_check_nonsingular(sys, q))
-        mu = _mu(sys, f)
-        p = y[d:] - 1j * mu
-        ts.append(t)
-        qs.append(q.copy())
-        ps.append(p)
-        es.append(_hamiltonian(sys, p, f, mu)[0])
+    def record(ts, ys):
+        batch = []
+        for t, y in zip(ts.tolist(), ys):
+            q = y[:d]
+            f = sys.potential.f(_check_nonsingular(sys, q))
+            mu = _mu(sys, f)
+            p = y[d:] - 1j * mu
+            batch.append((t, q, p, _hamiltonian(sys, p, f, mu)[0]))
+        records.extend(batch)           # none of the batch if a row was singular
 
     try:
         mu = _mu(sys, sys.potential.f(_check_nonsingular(sys)))
@@ -313,6 +314,7 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
     else:
         stop = _stepping.integrate(rhs, np.concatenate([sys.q, sys.p + 1j * mu]), stops,
                                    TRAJECTORY_TOL, TRAJECTORY_TOL, np.inf, record, None)
+    ts, qs, ps, es = zip(*records) if records else ([], [], [], [])
     return Trajectory(np.array(ts), np.array(qs), np.array(ps), np.array(es),
                       completed=stop.error is None,
                       error=None if stop.error is None

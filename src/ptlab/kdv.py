@@ -112,7 +112,8 @@ def _ipow(base, p, where):
 
 def _derivatives(u_hat, ik_powers):
     """Rows (ik)^m u_hat transformed back: u, u_x, ... for m = 0, 1, ..."""
-    return np.fft.ifft(ik_powers * u_hat)
+    rows = ik_powers * u_hat
+    return np.fft.ifft(rows, out=rows)
 
 
 def _bender_nonlinear(u, ux, eps):
@@ -172,17 +173,26 @@ _RHS = {Flow.BENDER: rhs_bender, Flow.FRING: rhs_fring}
 # conserved functionals
 # ---------------------------------------------------------------------------
 
-def mass(field: KdVField):
-    return complex(np.mean(field.values) * field.L)
+def _mass(u, L):
+    return np.mean(u, axis=-1) * L
 
 
-def momentum(field: KdVField):
-    return complex(np.mean(field.values ** 2) * field.L / 2.0)
+def _momentum(u, L):
+    return np.mean(u ** 2, axis=-1) * L / 2.0
 
 
 def _energy(u, ux, L, eps):
-    dens = -(u ** 3) / 6.0 - _ipow(1j * ux, eps + 1.0, "energy density") / (eps + 1.0)
-    return complex(np.mean(dens) * L)
+    # the power first, so that at most two temporaries of u's size live at once
+    w = _ipow(1j * ux, eps + 1.0, "energy density") / (eps + 1.0)
+    return np.mean(-(u ** 3) / 6.0 - w, axis=-1) * L
+
+
+def mass(field: KdVField):
+    return complex(_mass(field.values, field.L))
+
+
+def momentum(field: KdVField):
+    return complex(_momentum(field.values, field.L))
 
 
 def energy(field: KdVField, eps):
@@ -191,7 +201,7 @@ def energy(field: KdVField, eps):
     Both flows conserve their Hamiltonian; for the `fring` flow this
     density generates the evolution exactly, u_t = d/dx (dH/du).
     """
-    return _energy(field.values, field.deriv(1), field.L, eps)
+    return complex(_energy(field.values, field.deriv(1), field.L, eps))
 
 
 def energy_reality_check(field: KdVField, eps):
@@ -212,13 +222,17 @@ class ChargeMonitor:
     P: list = field(default_factory=list)
     E: list = field(default_factory=list)
 
-    def record(self, t, f: KdVField, ux, eps):
-        """Charges of the field f, whose derivative u_x the caller holds."""
-        e = _energy(f.values, ux, f.L, eps)   # may raise BranchError: record nothing then
-        self.times.append(float(t))
-        self.M.append(mass(f))
-        self.P.append(momentum(f))
-        self.E.append(e)
+    def record(self, ts, u, ux, L, eps):
+        """Charges at the times ts of the fields in the rows of u, with
+        derivatives ux, on a period L.
+
+        Computes every charge before it appends any, so a BranchError
+        from the energy records nothing.
+        """
+        charges = _mass(u, L), _momentum(u, L), _energy(u, ux, L, eps)
+        self.times.extend(np.asarray(ts, dtype=float).tolist())
+        for out, values in zip((self.M, self.P, self.E), charges):
+            out.extend(values.tolist())
 
     def drift(self):
         out = {}
@@ -248,6 +262,17 @@ def _has_linear_dispersion(flow, eps):
     linear only at eps = 1.
     """
     return flow is Flow.BENDER or float(eps) == 1.0
+
+
+def _n_steps(t_final, dt):
+    """The number of record intervals dt in t_final, which it must divide."""
+    require_finite(t_final=t_final, dt=dt)
+    if dt == 0 or not t_final / dt > 0:
+        raise ConfigurationError("t_final and dt must be nonzero with the same sign")
+    n_steps = int(round(t_final / dt))
+    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ConfigurationError("t_final must be an integer number of steps")
+    return n_steps
 
 
 def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
@@ -280,9 +305,15 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     rule), so the modes above stay as they are in the stepped variable;
     in the integrating-factor frame each step is also bounded so that
     the fastest phase the factor leaves, 3 k_top^2 (2 pi / L) at the top
-    kept mode k_top, turns by at most 5 a step.  Each record takes u and
-    u_x from one batched inverse FFT, and the charge monitor reuses that
-    u_x.
+    kept mode k_top, turns by at most 5 a step.
+
+    Records come in one batch per accepted step: the m record times the
+    step covers are read from one vectorised evaluation of its dense
+    output, taken back to u_hat by one factor exp(i k^3 t) over the
+    (m, n) batch, and to u and u_x by one inverse FFT of the (m, 2, n)
+    rows; the charge monitor reuses that u_x and takes M, P and E of the
+    whole batch at once.  A batch whose energy meets the branch cut keeps
+    none of its rows, so the record then ends at the step before.
 
     Raises ConfigurationError for a NaN or infinite eps, t_final or dt,
     and for fewer than 2 snapshots or more than n_steps + 1.
@@ -295,12 +326,8 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     """
     if isinstance(flow, str):
         flow = Flow(flow)
-    require_finite(eps=eps, t_final=t_final, dt=dt)
-    if dt == 0 or not t_final / dt > 0:
-        raise ConfigurationError("t_final and dt must be nonzero with the same sign")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ConfigurationError("t_final must be an integer number of steps")
+    require_finite(eps=eps)
+    n_steps = _n_steps(t_final, dt)
     if not 2 <= n_snapshots <= n_steps + 1:
         raise ConfigurationError(f"need 2 to {n_steps + 1} snapshots for {n_steps} steps, "
                                  f"got {n_snapshots}")
@@ -317,10 +344,6 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     # that is |j| < n/3 for the mode index j in FFT order
     j = np.arange(field.n)
     keep = 3 * np.minimum(j, field.n - j) < field.n
-
-    def factor(t):
-        """exp(i k^3 t), taking v to u_hat; 1 when there is no factor."""
-        return np.exp(ik3 * t) if use_if else 1.0
 
     if use_if:
         nonlinear = _NONLINEAR[flow]
@@ -358,18 +381,29 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
             raise BlowUpError(f"the L2 norm of u grew more than {_BLOWUP_FACTOR:g}-fold "
                               f"by t = {t:g}")
 
+    def fields(ts, vs):
+        """The rows u and u_x at the times ts of the stepped states vs: the
+        factor exp(i k^3 t) over (m, n), if any, then one (m, 2, n) inverse
+        FFT."""
+        if use_if:
+            vs = np.exp(ik3 * ts[:, None]) * vs
+        return _derivatives(vs[:, None], uux)
+
     mon = ChargeMonitor()
     snaps = [field]                     # the start is its own snapshot
     times = [0.0]
 
-    def record(t, v):
-        u, ux = _derivatives(factor(t) * v, uux)
-        cur = field.with_values(u)
-        if t in mon_at:
-            mon.record(t, cur, ux, eps)
-        if t in snap_at:
-            snaps.append(cur)
-            times.append(t)
+    def record(ts, vs):
+        d = fields(ts, vs)
+        t_list = ts.tolist()
+        at_mon = np.array([t in mon_at for t in t_list])
+        if at_mon.any():
+            rows = slice(None) if at_mon.all() else at_mon     # a view where it can be
+            mon.record(ts[rows], d[rows, 0], d[rows, 1], field.L, eps)
+        for t, u in zip(t_list, d[:, 0]):
+            if t in snap_at:
+                snaps.append(field.with_values(u.copy()))
+                times.append(t)
 
     # a blowing-up state overflows in rejected stages before the step size
     # collapses; that collapse is reported below as BlowUpError
@@ -383,13 +417,13 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
 
     # close the record at the last accepted state
     t = float(stop.t)
-    u, ux = _derivatives(factor(t) * stop.y, uux)
+    d = fields(np.array([t]), stop.y[None])
     if times[-1] != t:
-        snaps.append(field.with_values(u))
+        snaps.append(field.with_values(d[0, 0]))
         times.append(t)
     if not mon.times or mon.times[-1] != t:
         with contextlib.suppress(BranchError):
-            mon.record(t, snaps[-1], ux, eps)
+            mon.record([t], d[:, 0], d[:, 1], field.L, eps)
     if isinstance(stop.error, BranchError):
         err = BranchError(f"{stop.error} at t = {t:g}")
     else:
@@ -417,9 +451,14 @@ def pt_covariance_defect(field: KdVField, flow, eps, t_final, dt):
     reversed flow (dt -> -dt) by the same amount; if the flow commutes
     with the antilinear symmetry the reflected forward state equals the
     backward state of the reflection.  Returns the max pointwise defect.
+    Only the end states are read, so the charges are recorded only at
+    the two ends.
     """
-    fwd = evolve(field, flow, eps, t_final, dt, n_snapshots=2).snapshots[-1]
-    back = evolve(pt_reflect(field), flow, eps, -t_final, -dt, n_snapshots=2).snapshots[-1]
+    last = _n_steps(t_final, dt)
+    fwd = evolve(field, flow, eps, t_final, dt, n_snapshots=2,
+                 monitor_stride=last).snapshots[-1]
+    back = evolve(pt_reflect(field), flow, eps, -t_final, -dt, n_snapshots=2,
+                  monitor_stride=last).snapshots[-1]
     return float(np.abs(pt_reflect(fwd).values - back.values).max())
 
 
@@ -429,11 +468,13 @@ def galilean_defect(field: KdVField, flow, eps, v, t_final, dt):
     For the `fring` flow the boost maps solutions to solutions for every
     eps; for the `bender` flow it holds only at eps = 1.  The shifted
     comparison uses Fourier interpolation, so the defect is spectrally
-    accurate.
+    accurate.  Only the end states are read, so the charges are recorded
+    only at the two ends.
     """
-    ev_plain = evolve(field, flow, eps, t_final, dt, n_snapshots=2)
+    last = _n_steps(t_final, dt)
+    ev_plain = evolve(field, flow, eps, t_final, dt, n_snapshots=2, monitor_stride=last)
     ev_boost = evolve(field.with_values(field.values + v), flow, eps, t_final, dt,
-                      n_snapshots=2)
+                      n_snapshots=2, monitor_stride=last)
     u_end = ev_plain.snapshots[-1]
     # translate by v*t with the Fourier shift theorem, then add v
     shift = np.exp(-1j * u_end.k * v * t_final)
@@ -486,11 +527,16 @@ def traveling_wave(eps, c, L=40.0, n=512):
 
 def traveling_wave_defect(report: TravelingWaveReport, dt=1e-3):
     """Evolve the profile by the `fring` flow to t = 0.5 and compare with
-    its rigid translation by 0.5 c."""
+    its rigid translation by 0.5 c.
+
+    Only the end state is read, so nothing is recorded between the ends
+    and the solver's dense output is never evaluated.
+    """
     if not report.exists or report.profile is None:
         raise ConfigurationError("no profile to verify")
     f = report.profile
-    ev = evolve(f, Flow.FRING, report.eps, 0.5, dt, n_snapshots=2)
+    ev = evolve(f, Flow.FRING, report.eps, 0.5, dt, n_snapshots=2,
+                monitor_stride=_n_steps(0.5, dt))
     shift = np.exp(-1j * f.k * report.c * 0.5)
     translated = np.fft.ifft(shift * np.fft.fft(f.values))
     return float(np.abs(ev.snapshots[-1].values - translated).max())

@@ -20,8 +20,9 @@ stacked ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
 (q, qdot), the first trajectory right-hand side (f and f' from their
 own sines, a concatenated result) for the one-pass one, the stepping
 loop over scipy's `DOP853` solver object for the one with its own
-tableau and controller, and the textbook simple-root tables for the
-derived simple roots.
+tableau and controller, the textbook simple-root tables for the
+derived simple roots, and the first CSV writer (one formatted value at a
+time, row by row) for the column writer of the CLI artifacts.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
 
     snap_every = max(1, n_steps // max(1, n_snapshots - 1))
     mon = kdv.ChargeMonitor()
-    mon.record(0.0, field, field.deriv(1), eps)
+    mon.record([0.0], field.values[None], field.deriv(1)[None], field.L, eps)
     snaps = [field]
     times = [0.0]
 
@@ -354,7 +355,7 @@ def reference_kdv_evolve(field, flow, eps, t_final, dt, n_snapshots=11,
             raise BlowUpError(f"solution blew up at t = {t:g}", t_last=step * dt)
         cur = field.with_values(u)
         if (step + 1) % monitor_stride == 0 or step == n_steps - 1:
-            mon.record(t, cur, cur.deriv(1), eps)
+            mon.record([t], cur.values[None], cur.deriv(1)[None], field.L, eps)
         if (step + 1) % snap_every == 0 or step == n_steps - 1:
             snaps.append(cur)
             times.append(t)
@@ -734,9 +735,10 @@ def reference_dop853_integrate(rhs, y0, stops, rtol, atol, max_step, record, che
     from ptlab._stepping import Stop
     from ptlab.errors import PTLabError
 
+    stops = np.asarray(stops, dtype=float)
     t_done, y_done = stops[0], y0
     try:
-        record(stops[0], y0)
+        record(stops[:1], y0[None])
         solver = DOP853(rhs, stops[0], y0, stops[-1], rtol=rtol, atol=atol,
                         max_step=max_step)
         j = 1
@@ -747,14 +749,34 @@ def reference_dop853_integrate(rhs, y0, stops, rtol, atol, max_step, record, che
             t, y = solver.t, solver.y
             if check is not None:
                 check(t, y)
-            # a stop strictly inside the step needs the interpolant
-            dense = solver.dense_output() if solver.direction * (t - stops[j]) > 0 else None
-            while j < len(stops) and solver.direction * (t - stops[j]) >= 0:
-                y_j = y if stops[j] == t else dense(stops[j])
-                record(stops[j], y_j)
-                t_done, y_done = stops[j], y_j
-                j += 1
+            k = j
+            while k < len(stops) and solver.direction * (t - stops[k]) >= 0:
+                k += 1
+            if k > j:
+                # one batch per step; stops strictly inside it need the interpolant
+                ts = stops[j:k]
+                inside = solver.direction * (t - ts) > 0
+                ys = np.empty((ts.size, y.size), dtype=y.dtype)
+                ys[~inside] = y
+                if inside.any():
+                    ys[inside] = solver.dense_output()(ts[inside]).T
+                record(ts, ys)
+                j = k
             t_done, y_done = t, y
     except PTLabError as exc:
         return Stop(t_done, y_done, exc)
     return Stop(t_done, y_done, None)
+
+
+# ---------------------------------------------------------------------------
+# the first CSV row writer
+# ---------------------------------------------------------------------------
+
+def reference_csv_text(header, rows):
+    """The text ptlab's CLI first wrote for a CSV artifact: the header, then
+    each row with floats as %.17e and anything else by str()."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.17e" % v if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import reference_csv_text
 from ptlab import _blas, cli, gridops, spectra
 from ptlab.errors import ConfigurationError, PTLabError
 
@@ -18,6 +19,23 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+# ---------------------------------------------------------------------------
+# artifacts
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("columns", [
+    [np.arange(-3, 4), [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1 / 3],
+     np.array([0, 1, -1, 2 ** 62, -(2 ** 62), 7, 10 ** 18], dtype=np.int64)],
+    [np.array([4]), np.array([0.1])],
+    [np.array([], dtype=int), np.array([])],
+], ids=["specials", "one-row", "no-rows"])
+def test_write_csv_is_the_row_writer_byte_for_byte(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "out.csv"
+    cli.write_csv(str(path), header, columns)
+    assert path.read_bytes() == reference_csv_text(header, zip(*columns)).encode()
 
 
 # ---------------------------------------------------------------------------

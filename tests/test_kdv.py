@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fring_rhs_symbolic_defects, reference_kdv_evolve
-from ptlab import kdv
+from ptlab import _stepping, kdv
 from ptlab.errors import BlowUpError, BranchError, ConfigurationError
 
 
@@ -142,6 +142,37 @@ def test_blow_up_reported_with_last_time():
     with pytest.raises(BlowUpError) as exc:
         kdv.evolve(f, "fring", 3.0, 1.0, 1e-3)
     assert exc.value.t_last >= 0.0
+
+
+def test_record_batch_meeting_the_cut_keeps_none_of_its_rows(monkeypatch):
+    # the energy of the third record batch meets the cut
+    sizes = []
+    energy = kdv._energy
+
+    def cut_third_batch(u, ux, L, eps):
+        sizes.append(len(u))
+        if len(sizes) == 3:
+            raise BranchError("refused by the test")
+        return energy(u, ux, L, eps)
+
+    args = (offset_pt_field(), "fring", 1.0, 0.1, 1e-3)
+    full = kdv.evolve(*args, monitor_stride=1)
+    monkeypatch.setattr(kdv, "_energy", cut_third_batch)
+    with pytest.raises(BranchError) as exc:
+        kdv.evolve(*args, monitor_stride=1)
+    part = exc.value.partial
+    kept = sum(sizes[:2])
+    assert sizes[2] >= 3 and kept > 1
+    # the records before that batch, then the close at the end of the
+    # step before it
+    t_close = part.monitor.times[-1]
+    assert part.monitor.times[:-1] == full.monitor.times[:kept]
+    assert part.monitor.E[:-1] == full.monitor.E[:kept]
+    assert full.monitor.times[kept - 1] < t_close < full.monitor.times[kept]
+    assert list(part.times) == [t for t in full.times if t < t_close] + [t_close]
+    for a, b in zip(part.snapshots[:-1], full.snapshots):
+        assert np.array_equal(a.values, b.values)
+    assert f"at t = {t_close:g}" in str(exc.value)
 
 
 def test_failed_evolution_carries_partial_record():
@@ -283,20 +314,24 @@ def test_transform_count_per_evaluation(monkeypatch, eps):
 def test_integrating_factor_stage_rows(monkeypatch, flow, eps, rows):
     # the integrating factor carries -u_xxx, so its evaluations transform
     # only u and u_x; the plain frame needs u, u_x, u_xx and u_xxx
-    widths = []
+    shapes = []
     ifft = np.fft.ifft
 
     def recording(a, *args, **kwargs):
-        widths.append(1 if np.ndim(a) == 1 else len(a))
+        shapes.append(np.shape(a)[:-1])
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording)
     evals = count_evaluations(monkeypatch, flow, eps)
     kdv.evolve(offset_pt_field(), flow, eps, 5e-3, 5e-4, n_snapshots=2,
-               monitor_stride=100)
-    # one transform of `rows` rows per evaluation; the two records (the
-    # start and the end) transform u and u_x, which the monitor reuses
-    assert Counter(widths) == Counter({rows: len(evals)}) + Counter({2: 2})
+               monitor_stride=1)
+    # one transform of `rows` rows per evaluation
+    assert Counter(s for s in shapes if len(s) == 1) == Counter({(rows,): len(evals)})
+    # and one (m, 2, n) transform of u and u_x per record batch, which the
+    # monitor reuses; its 11 record times come in fewer batches
+    batches = [s for s in shapes if len(s) == 2]
+    assert all(w == 2 for _, w in batches)
+    assert sum(m for m, _ in batches) == 11 > len(batches)
 
 
 @pytest.mark.parametrize("n_snapshots, steps", [
@@ -333,6 +368,32 @@ def test_pt_covariance_of_deformed_flows(flow):
     f = pt_symmetric_field()
     defect = kdv.pt_covariance_defect(f, flow, 2.0, 0.05, 5e-4)
     assert defect < 1e-12
+
+
+@pytest.mark.parametrize("defect", [
+    lambda: kdv.traveling_wave_defect(kdv.traveling_wave(1, 1.0, n=128), dt=1e-2),
+    lambda: kdv.pt_covariance_defect(pt_symmetric_field(), "bender", 2.0, 0.02, 5e-4),
+    lambda: kdv.galilean_defect(cosine_field(amplitude=0.1, L=20.0), "fring", 2.0, 0.1,
+                                0.05, 1e-3),
+], ids=["travelling", "pt", "galilean"])
+def test_defect_checks_match_the_fully_monitored_run(monkeypatch, defect):
+    # they record only the end charges; records never move the steps
+    got = defect()
+    evolve = kdv.evolve
+    monkeypatch.setattr(kdv, "evolve", lambda *args, monitor_stride, **kwargs:
+                        evolve(*args, monitor_stride=1, **kwargs))
+    assert got == defect()
+
+
+def test_traveling_wave_defect_never_evaluates_the_dense_output(monkeypatch):
+    stops = []
+    integrate = _stepping.integrate
+    monkeypatch.setattr(_stepping, "integrate",
+                        lambda *args: stops.append(integrate(*args)) or stops[-1])
+    kdv.traveling_wave_defect(kdv.traveling_wave(1, 1.0, n=128))
+    (stop,) = stops
+    # 2 evaluations choose the first step and each attempt makes 12
+    assert stop.nfev == 2 + 12 * (stop.n_accepted + stop.n_rejected)
 
 
 def test_galilean_dichotomy():

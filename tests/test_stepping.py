@@ -5,7 +5,7 @@ import pytest
 
 from oracles import reference_dop853_integrate
 from ptlab import _stepping, cms, kdv
-from ptlab.errors import BlowUpError, BranchError
+from ptlab.errors import BlowUpError, BranchError, SingularConfigError
 from test_cms import cli_state
 from test_kdv import offset_cosine_field
 
@@ -17,11 +17,16 @@ def rotation(t, y):
     return 1j * y
 
 
+def unpacked(log):
+    """A record(ts, ys) that appends the batch's (t, y) rows to log."""
+    return lambda ts, ys: log.extend(zip(ts.tolist(), ys.copy()))
+
+
 def run(rhs, stops, check=None, max_step=np.inf):
     """(Stop, [(t, y)] records) of one run from y(0) = 1."""
     seen = []
     stop = _stepping.integrate(rhs, np.array([1.0 + 0j]), stops, 1e-12, 1e-12, max_step,
-                               lambda t, y: seen.append((t, y.copy())), check)
+                               unpacked(seen), check)
     return stop, seen
 
 
@@ -126,6 +131,43 @@ def test_single_stop_records_the_start_and_never_evaluates():
     assert [t for t, _ in seen] == [0.0]
 
 
+def test_cms_record_batch_with_a_singular_row_keeps_none_of_it(monkeypatch):
+    s = cli_state("A", 3, "trigonometric")
+    log = {"evaluations": 0, "steps": [], "records": [], "batches": []}
+    integrate = _stepping.integrate
+
+    def batched(rhs, y0, stops, rtol, atol, max_step, record, check):
+        def logged(ts, ys):
+            log["batches"].append((ts.size, len(log["steps"])))
+            record(ts, ys)
+        return integrate(rhs, y0, stops, rtol, atol, max_step, logged, check)
+
+    monkeypatch.setattr(_stepping, "integrate", traced(batched, log))
+    full = cms.integrate_trajectory(s, 1e-3, 300)
+    # the first batch of 3 or more rows after the first step's, so that
+    # some step comes before it
+    b = next(i for i, (size, _) in enumerate(log["batches"]) if i > 1 and size >= 3)
+    before = sum(size for size, _ in log["batches"][:b])
+    t_before = log["steps"][log["batches"][b][1] - 2]
+
+    rows = []
+    hamiltonian = cms._hamiltonian
+
+    def singular_second_row(*args):
+        rows.append(1)
+        if len(rows) == before + 2:
+            raise SingularConfigError("refused by the test")
+        return hamiltonian(*args)
+
+    monkeypatch.setattr(cms, "_hamiltonian", singular_second_row)
+    traj = cms.integrate_trajectory(s, 1e-3, 300)
+    assert not traj.completed and f"stopped at t = {t_before}:" in traj.error
+    assert list(traj.times) == list(full.times[:before])
+    assert np.array_equal(traj.q, full.q[:before])
+    # the run ends with the step whose batch failed
+    assert traj.n_accepted == log["batches"][b][1]
+
+
 def test_cms_trajectory_without_steps_keeps_the_start():
     s = cli_state("A", 2, "rational")
     traj = cms.integrate_trajectory(s, 1e-3, 0)
@@ -157,9 +199,9 @@ def traced(integrate, log):
             if check is not None:
                 check(t, y)
 
-        def recorded(t, y):
-            log["records"].append((t, y.copy()))
-            record(t, y)
+        def recorded(ts, ys):
+            unpacked(log["records"])(ts, ys)
+            record(ts, ys)
 
         log["max_step"] = max_step
         return integrate(counted, y0, stops, rtol, atol, max_step, recorded, checked)
@@ -194,7 +236,7 @@ def test_rotation_matches_reference(monkeypatch, dt, max_step):
     stops = [k * dt for k in range(0, 31, 3)]
     assert_same_run(monkeypatch, lambda: _stepping.integrate(
         rotation, np.array([1.0 + 0j]), stops, 1e-12, 1e-12, max_step,
-        lambda t, y: None, None))
+        lambda ts, ys: None, None))
 
 
 @pytest.mark.parametrize("family, rank, potential, n_steps", [
