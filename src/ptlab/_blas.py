@@ -5,9 +5,10 @@ core.  ptlab's BLAS work (banded shift-invert solves, products of at most
 a few hundred columns) is too small for a second thread to gain wall
 time, but large enough for OpenBLAS to start one, which then burns CPU
 in hand-offs.  The thread count is state of the process, so `one_thread`
-keeps its own state at module level: a lock and a depth counter, so that
-only the outermost of nested or overlapping entries (the runs inside a
-sweep's pool threads) saves, sets and restores the counts.
+keeps its own state at module level: a depth counter, so that only the
+outermost of nested entries (the runs inside a sweep) saves, sets and
+restores the counts, and a lock around it, since a caller may run
+`cli.run` from threads of its own, whose entries then overlap.
 """
 
 from __future__ import annotations

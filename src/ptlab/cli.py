@@ -2,8 +2,8 @@
 
 Subcommands `spectra`, `susy`, `cms` and `kdv` run one engine each and
 write CSV/JSON artifacts plus a manifest with checksums; `sweep` runs a
-Cartesian product of parameter grids from a flat key=value config in a
-bounded worker pool.
+Cartesian product of parameter grids from a flat key=value config, one
+cell after another.
 
 Exit codes: 0 success, 2 config error, 3 engine error, 4 partial sweep
 failure.
@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -455,9 +454,24 @@ def _sweep_cell(args):
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_sweep(config_path, output_dir=None, max_workers=4):
-    if max_workers < 1:
-        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
+def run_sweep(config_path, output_dir=None, max_workers=1):
+    """Run every cell of a sweep config; returns (exit_code, index).
+
+    Keys whose value holds commas are gridded (at most 3); each cell is one
+    combination of their values and runs through `run` into its own
+    directory, tagged `key=value_...` in sorted key order.  Every cell is
+    validated before any runs, and a gridded key that repeats a value is
+    refused, since two cells would share a directory (ConfigurationError).
+    The cells then run one after another in the calling thread, in the
+    order of `index["cells"]`.  A cell whose engine fails is recorded as an
+    error and the rest still run; the exit code is EXIT_PARTIAL if any
+    failed, else EXIT_OK.  `sweep_manifest.json` in `output_dir` holds the
+    index.
+
+    `max_workers` has no effect.  It remains only because
+    `perfbench/worker.py` passes it; the benchmark-only change that stops
+    passing it deletes it.
+    """
     raw, lines = read_config_file(config_path)
     origin = {k: f"{config_path}:{ln}" for k, ln in lines.items()}
     if "subcommand" not in raw:
@@ -472,10 +486,16 @@ def run_sweep(config_path, output_dir=None, max_workers=4):
     else:
         raw.pop("output_dir", None)
 
-    grids = {k: v.split(",") for k, v in raw.items() if "," in v}
+    grids = {k: [x.strip() for x in v.split(",")] for k, v in raw.items() if "," in v}
     if len(grids) > 3:
         raise ConfigurationError(f"at most 3 gridded keys, got {len(grids)}: "
                                  f"{sorted(grids)}")
+    for key, vals in grids.items():
+        for i, v in enumerate(vals):
+            if v in vals[:i]:
+                raise ConfigurationError(f"gridded key {key!r} repeats value {v!r}, "
+                                         f"so two cells would share a directory "
+                                         f"({origin[key]})")
     scalars = {k: v for k, v in raw.items() if k not in grids}
     keys = sorted(grids)
     cells = []
@@ -488,13 +508,10 @@ def run_sweep(config_path, output_dir=None, max_workers=4):
         cells.append((subcommand, cell, os.path.join(output_dir, tag)))
 
     os.makedirs(output_dir, exist_ok=True)
-    results = []
     # the cells' own entries nest inside this one, so the counts are set
     # and restored once per sweep, never between cells
-    with _blas.one_thread(), \
-            concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for res in pool.map(_sweep_cell, cells):
-            results.append(res)
+    with _blas.one_thread():
+        results = [_sweep_cell(cell) for cell in cells]
     n_failed = sum(1 for r in results if r["status"] != "ok")
     index = {"subcommand": subcommand,
              "gridded_keys": keys,
@@ -525,7 +542,6 @@ def build_parser():
     sw = sub.add_parser("sweep")
     sw.add_argument("config", help="flat key=value config with gridded keys")
     sw.add_argument("--output-dir", default=None)
-    sw.add_argument("--max-workers", type=int, default=4)
     return ap
 
 
@@ -538,8 +554,7 @@ def main(argv=None):
 
     try:
         if args.subcommand == "sweep":
-            code, index = run_sweep(args.config, output_dir=args.output_dir,
-                                    max_workers=args.max_workers)
+            code, index = run_sweep(args.config, output_dir=args.output_dir)
             if code != EXIT_OK:
                 print(f"sweep: {index['failed']} cell(s) failed", file=sys.stderr)
             return code

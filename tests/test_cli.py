@@ -483,7 +483,7 @@ def test_sweep_grid_and_manifest(tmp_path):
                 "subcommand=spectra\nmodel=swanson\ndelta=2\n"
                 "g=0.1,0.3\ngtilde=0.05,0.2\ndim=24\nk=4\n")
     out = tmp_path / "sw"
-    code, index = cli.run_sweep(cfg, output_dir=str(out), max_workers=2)
+    code, index = cli.run_sweep(cfg, output_dir=str(out))
     assert code == cli.EXIT_OK
     assert index["failed"] == 0
     assert index["gridded_keys"] == ["g", "gtilde"]
@@ -553,22 +553,62 @@ def test_sweep_validates_cells_before_running(tmp_path):
         cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"))
 
 
+@pytest.mark.parametrize("grid, key, value", [
+    ("model=swanson,swanson\ndim=24,40", "model", "swanson"),
+    ("model=swanson\ndim=24, 24", "dim", "24"),     # equal once stripped
+])
+def test_sweep_refuses_cells_sharing_a_directory(tmp_path, grid, key, value):
+    cfg = write(tmp_path, "sweep.cfg", f"subcommand=spectra\n{grid}\nk=4\n")
+    out = tmp_path / "sw"
+    with pytest.raises(ConfigurationError, match=f"{key!r} repeats value {value!r}"):
+        cli.run_sweep(cfg, output_dir=str(out))
+    assert not out.exists()           # refused before any cell ran
+
+
+def test_sweep_strips_gridded_values(tmp_path):
+    cfg = write(tmp_path, "sweep.cfg", "subcommand=spectra\nmodel=swanson\n"
+                "dim=24, 40\nk=4\n")
+    out = tmp_path / "sw"
+    code, index = cli.run_sweep(cfg, output_dir=str(out))
+    assert code == cli.EXIT_OK
+    assert [c["dir"] for c in index["cells"]] == ["dim=24", "dim=40"]
+    assert sorted(os.listdir(out)) == ["dim=24", "dim=40", "sweep_manifest.json"]
+
+
+def test_sweep_runs_cells_in_order_on_the_calling_thread(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "sweep.cfg", "subcommand=spectra\nmodel=swanson\n"
+                "delta=2\ng=0.1,0.3\ngtilde=0.05,0.2\ndim=24\nk=4\n")
+    caller, n_threads = threading.get_ident(), threading.active_count()
+    ran = []
+    sweep_cell = cli._sweep_cell
+
+    def recording(args):
+        ran.append((threading.get_ident(), threading.active_count(),
+                    os.path.basename(args[2])))
+        return sweep_cell(args)
+
+    monkeypatch.setattr(cli, "_sweep_cell", recording)
+    trees = {}
+    for workers in (1, 2):
+        ran.clear()
+        out = tmp_path / f"sw{workers}"
+        code, index = cli.run_sweep(cfg, output_dir=str(out), max_workers=workers)
+        assert code == cli.EXIT_OK and len(index["cells"]) == 4
+        assert [r[:2] for r in ran] == [(caller, n_threads)] * 4
+        assert [r[2] for r in ran] == [c["dir"] for c in index["cells"]]
+        trees[workers] = {os.path.relpath(os.path.join(d, f), out):
+                          open(os.path.join(d, f), "rb").read()
+                          for d, _, files in os.walk(out) for f in files}
+    # the keyword has no effect: both runs write the same bytes
+    assert trees[1] == trees[2]
+
+
 def test_main_sweep_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "sweep.cfg",
                 "subcommand=cms\nfamily=A,G2\nrank=2\ncheck=lax\nsamples=2\n")
     code = cli.main(["sweep", cfg, "--output-dir", str(tmp_path / "sw")])
     assert code == cli.EXIT_PARTIAL
     assert "failed" in capsys.readouterr().err
-
-
-def test_sweep_refuses_bad_worker_count(tmp_path, capsys):
-    cfg = write(tmp_path, "sweep.cfg",
-                "subcommand=spectra\nmodel=swanson\ndim=24,32\n")
-    out = tmp_path / "sw"
-    code = cli.main(["sweep", cfg, "--output-dir", str(out), "--max-workers", "0"])
-    assert code == cli.EXIT_CONFIG
-    assert "max_workers" in capsys.readouterr().err
-    assert not out.exists()           # refused before any cell ran
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +664,7 @@ def test_sweep_holds_blas_at_one_thread(tmp_path, monkeypatch, two_blas_threads)
     monkeypatch.setitem(cli.RUNNERS, "kdv", recording)
     cfg = write(tmp_path, "sweep.cfg", "subcommand=kdv\nmodel=fring\n"
                 "epsilon=1,2,3\nc=1,2\n")
-    code, index = cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"), max_workers=2)
+    code, index = cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"))
     assert code == cli.EXIT_OK and len(index["cells"]) == 6
     assert seen == [[1] * len(two_blas_threads)] * 6
     assert blas_counts() == two_blas_threads
