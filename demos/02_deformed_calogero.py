@@ -8,7 +8,7 @@ trajectory whose Lax charges stay constant.
 import numpy as np
 
 from ptlab import cms
-from ptlab.rootsys import build_cartan_weyl, build_root_system
+from ptlab.rootsys import build_root_system
 
 rs = build_root_system("A", 2)
 couplings = cms.OrbitCouplings(g_short=1.1, gtilde_short=0.7)
@@ -28,9 +28,8 @@ for potential in ("rational", "trigonometric", "hyperbolic"):
 # integrate the rational flow and watch the Lax charges
 system = cms.CMSSystem(root_system=rs, potential=cms.PotentialKind.RATIONAL,
                        couplings=couplings, q=q, p=p)
-basis = build_cartan_weyl(rs)
 traj = cms.integrate_trajectory(system, dt=1e-3, n_steps=2000, record_every=500)
 print("\nt        I_2 (= H)              I_3")
 for i, t in enumerate(traj.times):
-    charges = cms.conserved_charges(system.at(traj.q[i], traj.p[i]), basis, 3)
+    charges = cms.conserved_charges(system.at(traj.q[i], traj.p[i]), 3)
     print(f"{t:6.3f}  {charges[1]:.12f}  {charges[2]:.12f}")

@@ -316,6 +316,9 @@ def run_cms(params, seed, output_dir):
         g_long=None if np.isnan(params["g_long"]) else params["g_long"],
         gtilde_long=None if np.isnan(params["gtilde_long"]) else params["gtilde_long"])
     rs = rootsys.build_root_system(params["family"], params["rank"])
+    if not rs.long.any() and (couplings.g_long, couplings.gtilde_long) != (None, None):
+        raise ConfigurationError(f"{rs.family}_{rs.rank} has no long roots: "
+                                 "g_long and gtilde_long do not apply")
     rng = np.random.default_rng(seed)
     zero = np.zeros(rs.dim)
     system = cms.CMSSystem(root_system=rs,
@@ -323,7 +326,6 @@ def run_cms(params, seed, output_dir):
                            couplings=couplings, q=zero + 1.0, p=zero)
     # Lax pairs exist only for LAX_FAMILIES; `cms` refuses the others by name
     lax = rs.family in cms.LAX_FAMILIES and params["check"] != "mu-identity"
-    basis = rootsys.build_cartan_weyl(rs) if lax else None
 
     if params["check"] != "none":
         if params["samples"] < 1:
@@ -335,7 +337,7 @@ def run_cms(params, seed, output_dir):
             if params["check"] == "mu-identity":
                 res.append(cms.verify_mu_identity(s))
             else:
-                res.append(cms.lax_residual(s, basis))
+                res.append(cms.lax_residual(s))
         res = np.array(res, dtype=float)
         path = os.path.join(output_dir, f"{params['check']}.csv")
         write_csv(path, ["sample", "residual"], [np.arange(res.size), res])
@@ -351,12 +353,12 @@ def run_cms(params, seed, output_dir):
               + [f"{nm}_{i+1}_{part}" for nm in ("q", "p")
                  for i in range(d) for part in ("re", "im")]
               + ["re_H", "im_H"])
-    n_charge = 3 if basis is not None else 0
+    n_charge = 3 if lax else 0
     header += [f"{part}_I{k}" for k in range(2, 2 + n_charge) for part in ("re", "im")]
     # complex columns: q_i, p_i, H and the charges I_k
     cplx = [*traj.q.T, *traj.p.T, traj.energy]
-    if basis is not None:
-        charges = [cms.conserved_charges(system.at(q, p), basis, 2 + n_charge - 1)[1:]
+    if lax:
+        charges = [cms.conserved_charges(system.at(q, p), 2 + n_charge - 1)[1:]
                    for q, p in zip(traj.q, traj.p)]
         cplx += list(np.array(charges, dtype=complex).reshape(-1, n_charge).T)
     path = os.path.join(output_dir, "trajectory.csv")

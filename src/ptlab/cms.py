@@ -3,7 +3,9 @@
 Implements the deformed Hamiltonian H = p^2/2 + (1/2) sum ghat_a^2 V(a.q)
 + i mu.p - mu^2/2 with mu(q) = (1/2) sum gtilde_a f(a.q) a, its classical
 flow on complexified phase space, and, for the A series, the Lax pair used
-for the integrability checks.
+for the integrability checks.  The Lax matrices are built straight from
+the roots in the defining representation of A: root e_i - e_j is the
+matrix unit E_ij, and the Cartan part is a diagonal.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import _stepping
 from .errors import CapabilityError, ConfigurationError, SingularConfigError, require_finite
-from .rootsys import CartanWeylBasis, RootSystem
+from .rootsys import RootSystem
 
 SINGULAR_GUARD = 1e-6
 # families whose Lax pair closes; Lax and charge requests for others refuse
@@ -50,16 +52,6 @@ class PotentialKind(enum.Enum):
             return 1.0 / s, -np.cos(x) / s**2
         s = np.sinh(x)
         return 1.0 / s, -np.cosh(x) / s**2
-
-    def fprime(self, x):
-        return self.f_fprime(x)[1]
-
-    def V(self, x):
-        return self.f(x) ** 2
-
-    def Vprime(self, x):
-        f, fp = self.f_fprime(x)
-        return 2.0 * f * fp
 
     def hyperplane_distance(self, x):
         """Distance of the real part of a.q from the singular set."""
@@ -331,13 +323,24 @@ def integrate_trajectory(sys: CMSSystem, dt, n_steps, record_every=1):
 class LaxPair:
     L: np.ndarray
     M: np.ndarray
-    m: np.ndarray            # Cartan vector of M, in the basis-root frame
+    m: np.ndarray            # diagonal of M
 
 
-def _step_sum(basis: CartanWeylBasis, xi, c):
-    """xi.H + sum_a c_a E_a over the stacked Cartan and step matrices."""
-    return (np.einsum("k,kij->ij", xi, basis.cartan)
-            + np.einsum("a,aij->ij", c, basis.step))
+def _matrix_units(sys: CMSSystem):
+    """(rows, cols) of E_a per root in the defining representation of A.
+
+    Root e_i - e_j is the matrix unit E_ij, so every off-diagonal entry
+    belongs to exactly one root.
+    """
+    roots = sys.root_system.roots
+    return roots.argmax(1), roots.argmin(1)
+
+
+def _root_matrix(units, diagonal, c):
+    """diag(diagonal) + sum_a c_a E_a."""
+    out = np.diag(diagonal)
+    out[units] = c
+    return out
 
 
 def _require_lax(sys: CMSSystem):
@@ -346,48 +349,50 @@ def _require_lax(sys: CMSSystem):
                               f"Lax pairs and charges exist for {LAX_FAMILIES} only")
 
 
-def _lax(sys: CMSSystem, basis: CartanWeylBasis):
+def _lax(sys: CMSSystem):
     """(L, M, m, Ldot) at the system's phase-space point, each built once.
 
-    L = xi.H + i sum_a ghat_a f(a.q) E_a with xi = p + i mu, which is
-    qdot.  M = m.H + i sum_a ghat_a f'(a.q) E_a, with m the Cartan part of
-    diag(w - mean w), w the row sums of i sum_a ghat_a f(a.q)^2 E_a (the
-    mean, a multiple of 1 that commutes with L, would only add norm to m).
-    Ldot comes from the chain rule; its Cartan part is qddot = -grad U.
+    L = diag(xi) + i sum_a ghat_a f(a.q) E_a with xi = p + i mu, which is
+    qdot.  M = diag(m) + i sum_a ghat_a f'(a.q) E_a, with m = w - mean w
+    and w_i = i sum ghat_a f(a.q)^2 over the roots e_i - e_j, summed in
+    root order (the mean, a multiple of 1 that commutes with L, would only
+    add norm to m).  Ldot comes from the chain rule; its diagonal is
+    qddot = -grad U.
     """
     _require_lax(sys)
     aq = _check_nonsingular(sys)
     ghat = sys.ghat
     f, fp = sys.potential.f_fprime(aq)
     qdot, _, qddot = _flow(sys, sys.p, f, fp)
+    units = _matrix_units(sys)
     c = 1j * ghat * f
-    w = np.einsum("a,aij->i", c * f, basis.step)
-    m = np.einsum("kii,i->k", basis.cartan, w - w.mean())
+    w = np.zeros(sys.dim, dtype=complex)
+    np.add.at(w, units[0], c * f)
+    m = w - w.mean()
     aqdot = sys.roots @ qdot
-    return (_step_sum(basis, qdot, c), _step_sum(basis, m, 1j * ghat * fp), m,
-            _step_sum(basis, qddot, 1j * ghat * fp * aqdot))
+    return (_root_matrix(units, qdot, c), _root_matrix(units, m, 1j * ghat * fp), m,
+            _root_matrix(units, qddot, 1j * ghat * fp * aqdot))
 
 
-def lax_pair(sys: CMSSystem, basis: CartanWeylBasis):
+def lax_pair(sys: CMSSystem):
     """Assemble (L, M) at the system's phase-space point."""
-    L, M, m, _ = _lax(sys, basis)
+    L, M, m, _ = _lax(sys)
     return LaxPair(L=L, M=M, m=m)
 
 
-def lax_residual(sys: CMSSystem, basis: CartanWeylBasis):
+def lax_residual(sys: CMSSystem):
     """Frobenius norm of Ldot - [L, M] with Ldot from the chain rule."""
-    L, M, _, Ldot = _lax(sys, basis)
+    L, M, _, Ldot = _lax(sys)
     return float(np.linalg.norm(Ldot - (L @ M - M @ L)))
 
 
-def conserved_charges(sys: CMSSystem, basis: CartanWeylBasis, k_max):
+def conserved_charges(sys: CMSSystem, k_max):
     """Charges I_k = tr(L^k)/2 for k = 1..k_max, for LAX_FAMILIES only."""
     _require_lax(sys)
     if k_max < 1:
         raise ConfigurationError("k_max must be >= 1")
     f = sys.potential.f(_check_nonsingular(sys))
-    L = _step_sum(basis, sys.p + 1j * _mu(sys, f),
-                  1j * sys.ghat * f)
+    L = _root_matrix(_matrix_units(sys), sys.p + 1j * _mu(sys, f), 1j * sys.ghat * f)
     out = []
     Lk = np.eye(L.shape[0], dtype=complex)
     for _ in range(k_max):

@@ -1,14 +1,10 @@
-"""Root systems and Cartan-Weyl matrix representations.
+"""Crystallographic root systems in explicit orthonormal coordinates.
 
-Crystallographic families A, B, C, D and G2 are generated in explicit
-orthonormal coordinates.  The A-series uses the (rank+1)-dimensional
-realization alpha_i = e_i - e_{i+1}; B/C/D use the standard orthonormal
-realizations; G2 is embedded in the A_2 hyperplane of R^3.
-
-Matrix representations (defining representations) are normalized so that
-tr(H_i H_j) = delta_ij and tr(E_a E_{-a}) = 1.  For B/C/D this
-normalization rescales the weights of the Cartan action: [H, E_a] = w_a E_a
-with w_a the root for the A-series and root/sqrt(2) for B/C/D.
+Families A, B, C, D and G2 are generated as vectors only; no matrix
+representation is built.  The A-series uses the (rank+1)-dimensional
+realization alpha_i = e_i - e_{i+1}, so root e_i - e_j names the matrix
+unit E_ij of the defining representation; B/C/D use the standard
+orthonormal realizations; G2 is embedded in the A_2 hyperplane of R^3.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -51,11 +47,6 @@ class RootSystem:
         pos = self.roots[:self.n_positive]
         sums = {tuple(a + b) for a in pos for b in pos}
         return tuple(i for i, r in enumerate(pos) if tuple(r) not in sums)
-
-    def negative_index(self, i):
-        """Index of -roots[i]; roots are stored as positives then negatives."""
-        n = self.n_positive
-        return i + n if i < n else i - n
 
 
 def _positive_roots(family, rank):
@@ -123,104 +114,3 @@ def build_root_system(family, rank):
 def reflect(root, mirror):
     """Weyl reflection of `root` in the hyperplane orthogonal to `mirror`."""
     return root - 2.0 * (root @ mirror) / (mirror @ mirror) * mirror
-
-
-# ---------------------------------------------------------------------------
-# Cartan-Weyl matrix representations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CartanWeylBasis:
-    cartan: np.ndarray             # (n_cartan, d, d)
-    step: np.ndarray               # (n_roots, d, d), E_a indexed like rs.roots
-    negative: np.ndarray           # (n_roots,) index of -a, so step[negative] is E_-a
-
-
-def _unit(d, i, j):
-    m = np.zeros((d, d))
-    m[i, j] = 1.0
-    return m
-
-
-def _raw_matrices_A(rank):
-    d = rank + 1
-    cartan = [np.diag(np.eye(d)[i]) for i in range(d)]
-    steps = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            steps.append(_unit(d, i, j))
-    return cartan, steps
-
-
-def _raw_matrices_B(ell):
-    d = 2 * ell + 1
-    conj = lambda r: d - 1 - r   # noqa: E731
-    z = ell                      # middle row
-    cartan = [_unit(d, i, i) - _unit(d, conj(i), conj(i)) for i in range(ell)]
-    steps = []
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            # e_i + e_j then e_i - e_j, matching _positive_roots ordering
-            steps.append(_unit(d, i, conj(j)) - _unit(d, j, conj(i)))
-            steps.append(_unit(d, i, j) - _unit(d, conj(j), conj(i)))
-    for i in range(ell):
-        steps.append(_unit(d, i, z) - _unit(d, z, conj(i)))
-    return cartan, steps
-
-
-def _raw_matrices_C(ell):
-    d = 2 * ell
-    cartan = [_unit(d, i, i) - _unit(d, ell + i, ell + i) for i in range(ell)]
-    steps = []
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            steps.append(_unit(d, i, ell + j) + _unit(d, j, ell + i))
-            steps.append(_unit(d, i, j) - _unit(d, ell + j, ell + i))
-    for i in range(ell):
-        steps.append(_unit(d, i, ell + i))
-    return cartan, steps
-
-
-def _raw_matrices_D(ell):
-    d = 2 * ell
-    conj = lambda r: d - 1 - r   # noqa: E731
-    cartan = [_unit(d, i, i) - _unit(d, conj(i), conj(i)) for i in range(ell)]
-    steps = []
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            steps.append(_unit(d, i, conj(j)) - _unit(d, j, conj(i)))
-            steps.append(_unit(d, i, j) - _unit(d, conj(j), conj(i)))
-    return cartan, steps
-
-
-def build_cartan_weyl(rs):
-    """Cartan-Weyl matrices for `rs`, normalized to the trace conditions.
-
-    Raises CapabilityError for families without an implemented matrix
-    representation (G2); the root data itself stays usable.
-    """
-    if rs.family == "A":
-        cartan, pos_steps = _raw_matrices_A(rs.rank)
-    elif rs.family == "B":
-        cartan, pos_steps = _raw_matrices_B(rs.rank)
-    elif rs.family == "C":
-        cartan, pos_steps = _raw_matrices_C(rs.rank)
-    elif rs.family == "D":
-        cartan, pos_steps = _raw_matrices_D(rs.rank)
-    else:
-        raise CapabilityError(f"no matrix representation implemented for {rs.family}")
-
-    cartan = np.array(cartan, dtype=complex)
-    # global Cartan rescaling to tr(H_i H_j) = delta_ij
-    gram = np.einsum("aij,bji->ab", cartan, cartan).real
-    c = gram[0, 0]
-    if not np.allclose(gram, c * np.eye(len(cartan)), atol=1e-10):
-        raise ConfigurationError("Cartan trace form is not proportional to identity")
-    cartan /= np.sqrt(c)
-
-    # E_-a is the transpose of E_a; both are scaled to tr(E_a E_-a) = 1
-    pos = np.array(pos_steps, dtype=complex)
-    pos /= np.sqrt(np.einsum("kij,kij->k", pos, pos).real)[:, None, None]
-    step = np.concatenate([pos, pos.transpose(0, 2, 1)])
-    negative = np.array([rs.negative_index(i) for i in range(rs.n_roots)])
-    return CartanWeylBasis(cartan=cartan, step=step, negative=negative)

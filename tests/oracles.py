@@ -15,8 +15,10 @@ L-BFGS-B metric search for the Levenberg-Marquardt one, the biorthogonal
 metric from the eigenvectors for any searched one, the closed-form
 metric diag(e^(c n)) of the Swanson model for the searched one, and the
 original CMS equations of motion (coupling arrays rebuilt per call) and
-Lax pair (per-root loops over the step matrices) for the cached and
-stacked ones, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
+Lax pair (per-root loops over Cartan-Weyl step matrices, and their
+stacked einsum) for the cached ones and the root-indexed matrix units,
+the projection method's eigenvalues of diag(q0) + t L0 for exact
+rational Calogero trajectories, and fixed-step RK4 on (q, p) for the adaptive CMS integrator on
 (q, qdot), the first trajectory right-hand side (f and f' from their
 own sines, a concatenated result) for the one-pass one, the stepping
 loop over scipy's `DOP853` solver object for the one with its own
@@ -28,6 +30,7 @@ time, row by row) for the column writer of the CLI artifacts.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -462,6 +465,20 @@ def swanson_metric(g, gtilde, dim):
     return np.diag(np.exp(c * np.arange(dim)))
 
 
+def rational_calogero_trajectory(q0, qdot0, ghat, t):
+    """Positions at time t of the rational Calogero flow from (q0, qdot0).
+
+    The flow is qddot = -grad sum_(i<k) ghat^2/(q_i - q_k)^2, with q,
+    qdot and ghat complex (ghat^2 < 0 allowed).  By the projection method
+    (Olshanetsky & Perelomov, Phys. Rep. 71, 1981, 313) the positions are
+    the eigenvalues of diag(q0) + t L0, where L0 = diag(qdot0) +
+    i ghat/(q0_j - q0_k) off the diagonal is the Lax matrix at t = 0, built
+    here in particle coordinates.  The eigenvalues come unordered.
+    """
+    L0 = rational_calogero_lax_reference(q0, ghat) + np.diag(np.asarray(qdot0, dtype=complex))
+    return np.linalg.eigvals(np.diag(np.asarray(q0, dtype=complex)) + t * L0)
+
+
 # ---------------------------------------------------------------------------
 # reference simple roots
 # ---------------------------------------------------------------------------
@@ -491,6 +508,85 @@ def reference_simple_roots(family, rank):
             v[ell - 2], v[ell - 1] = 1.0, 1.0
         out.append(v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference Cartan-Weyl bases
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CartanWeylBasis:
+    cartan: np.ndarray             # (n_cartan, d, d)
+    step: np.ndarray               # (n_roots, d, d), E_a indexed like rs.roots
+    negative: np.ndarray           # (n_roots,) index of -a, so step[negative] is E_-a
+
+
+def _unit(d, i, j):
+    m = np.zeros((d, d))
+    m[i, j] = 1.0
+    return m
+
+
+def _raw_matrices_A(rank):
+    d = rank + 1
+    cartan = [_unit(d, i, i) for i in range(d)]
+    steps = [_unit(d, i, j) for i in range(d) for j in range(i + 1, d)]
+    return cartan, steps
+
+
+def _raw_matrices_BD(ell, short):
+    # B (short=True) adds the short roots e_i through the middle row z
+    d = 2 * ell + short
+    conj = lambda r: d - 1 - r   # noqa: E731
+    cartan = [_unit(d, i, i) - _unit(d, conj(i), conj(i)) for i in range(ell)]
+    steps = []
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            # e_i + e_j then e_i - e_j, matching the order of the roots
+            steps.append(_unit(d, i, conj(j)) - _unit(d, j, conj(i)))
+            steps.append(_unit(d, i, j) - _unit(d, conj(j), conj(i)))
+    if short:
+        steps += [_unit(d, i, ell) - _unit(d, ell, conj(i)) for i in range(ell)]
+    return cartan, steps
+
+
+def _raw_matrices_C(ell):
+    d = 2 * ell
+    cartan = [_unit(d, i, i) - _unit(d, ell + i, ell + i) for i in range(ell)]
+    steps = []
+    for i in range(ell):
+        for j in range(i + 1, ell):
+            steps.append(_unit(d, i, ell + j) + _unit(d, j, ell + i))
+            steps.append(_unit(d, i, j) - _unit(d, ell + j, ell + i))
+    steps += [_unit(d, i, ell + i) for i in range(ell)]
+    return cartan, steps
+
+
+def reference_cartan_weyl(rs):
+    """Cartan-Weyl matrices of the defining representation of A, B, C or D,
+    as ptlab first built them for its Lax pairs, indexed like `rs.roots`.
+
+    Normalized to tr(H_i H_j) = delta_ij and tr(E_a E_-a) = 1, so the
+    weights of the Cartan action, [H, E_a] = w_a E_a, are the roots for
+    the A series and the roots / sqrt(2) for B, C and D: an algebra to
+    check the root data against.  The A-series basis is the one
+    `reference_lax` and `cartan_weyl_lax` assemble on.
+    """
+    raw = {"A": _raw_matrices_A, "B": lambda ell: _raw_matrices_BD(ell, True),
+           "C": _raw_matrices_C, "D": lambda ell: _raw_matrices_BD(ell, False)}
+    if rs.family not in raw:
+        raise ValueError(f"no matrix representation for {rs.family}")
+    cartan, pos_steps = raw[rs.family](rs.rank)
+    cartan = np.array(cartan, dtype=complex)
+    # global Cartan rescaling to tr(H_i H_j) = delta_ij
+    cartan /= np.sqrt(np.einsum("ij,ji->", cartan[0], cartan[0]).real)
+    # E_-a is the transpose of E_a; both are scaled to tr(E_a E_-a) = 1
+    pos = np.array(pos_steps, dtype=complex)
+    pos /= np.sqrt(np.einsum("kij,kij->k", pos, pos).real)[:, None, None]
+    n = rs.n_roots
+    return CartanWeylBasis(cartan=cartan,
+                           step=np.concatenate([pos, pos.transpose(0, 2, 1)]),
+                           negative=(np.arange(n) + n // 2) % n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +633,14 @@ def _reference_per_root(sys):
 def _reference_mu_vector(sys, q):
     q = _reference_check_nonsingular(sys, q)
     rs = sys.root_system
-    w = _reference_per_root(sys)[0] * sys.potential.f(rs.roots @ q)
+    w = _reference_per_root(sys)[0] * reference_f_fprime(sys.potential, rs.roots @ q)[0]
     return 0.5 * (w @ rs.roots)
 
 
 def _reference_mu_jacobian(sys, q):
     q = _reference_check_nonsingular(sys, q)
     rs = sys.root_system
-    w = _reference_per_root(sys)[0] * sys.potential.fprime(rs.roots @ q)
+    w = _reference_per_root(sys)[0] * reference_f_fprime(sys.potential, rs.roots @ q)[1]
     return 0.5 * np.einsum("a,ak,aj->kj", w, rs.roots, rs.roots)
 
 
@@ -562,20 +658,22 @@ def reference_equations_of_motion(sys, q=None, p=None):
     mu = _reference_mu_vector(sys, q)
     J = _reference_mu_jacobian(sys, q)
     qdot = p + 1j * mu
-    grad_pot = 0.5 * ((_reference_per_root(sys)[1] * sys.potential.Vprime(aq))
-                      @ rs.roots)
+    f, fp = reference_f_fprime(sys.potential, aq)
+    grad_pot = 0.5 * ((_reference_per_root(sys)[1] * (2.0 * f * fp)) @ rs.roots)
     pdot = -grad_pot - 1j * (J @ p) + J @ mu
     return qdot, pdot
 
 
-def reference_lax(sys, basis):
+def reference_lax(sys):
     """(L, M, m, residual) of the CMS Lax pair as ptlab first built them.
 
-    Per-root Python loops over the step matrices; the m-vector solve builds
-    L, S and Ldot once more, and the residual builds Ldot a third time.
-    A series only: there the weights of the Cartan action are the roots.
+    Per-root Python loops over the step matrices of `reference_cartan_weyl`;
+    the m-vector solve builds L, S and Ldot once more, and the residual
+    builds Ldot a third time.  A series only: there the weights of the
+    Cartan action are the roots.
     """
     rs = sys.root_system
+    basis = reference_cartan_weyl(rs)
 
     def ghat_per_root():
         return np.sqrt(_reference_per_root(sys)[1].astype(complex))
@@ -585,8 +683,7 @@ def reference_lax(sys, basis):
         p = sys.p if p is None else np.asarray(p, dtype=complex)
         aq = rs.roots @ q
         ghat = ghat_per_root()
-        f = sys.potential.f(aq)
-        fp = sys.potential.fprime(aq)
+        f, fp = reference_f_fprime(sys.potential, aq)
         mu = _reference_mu_vector(sys, q)
         xi = p + 1j * mu
         L = np.einsum("k,kij->ij", xi, basis.cartan)
@@ -604,14 +701,14 @@ def reference_lax(sys, basis):
         R0 = Ldot - (L @ S - S @ L)
         aq = rs.roots @ q
         ghat = ghat_per_root()
-        f = sys.potential.f(aq)
+        f = reference_f_fprime(sys.potential, aq)[0]
         nc = basis.cartan.shape[0]
         A = np.zeros((rs.n_roots, nc), dtype=complex)
         b = np.zeros(rs.n_roots, dtype=complex)
         for k in range(rs.n_roots):
             c_k = 1j * ghat[k] * f[k]
             A[k] = c_k * rs.roots[k]
-            b[k] = -np.trace(R0 @ basis.step[rs.negative_index(k)])
+            b[k] = -np.trace(R0 @ basis.step[basis.negative[k]])
         m, *_ = np.linalg.lstsq(A, b, rcond=None)
         return m
 
@@ -622,7 +719,7 @@ def reference_lax(sys, basis):
         aq = rs.roots @ q
         aqdot = rs.roots @ qdot
         ghat = ghat_per_root()
-        fp = sys.potential.fprime(aq)
+        fp = reference_f_fprime(sys.potential, aq)[1]
         Ldot = np.einsum("k,kij->ij", xidot, basis.cartan)
         for k in range(rs.n_roots):
             Ldot = Ldot + 1j * ghat[k] * fp[k] * aqdot[k] * basis.step[k]
@@ -636,6 +733,32 @@ def reference_lax(sys, basis):
     Ldot = lax_Ldot(sys.q, sys.p)
     comm = L @ M - M @ L
     return L, M, m, float(np.linalg.norm(Ldot - comm))
+
+
+def cartan_weyl_lax(sys):
+    """(L, M, m, residual) as stacked einsums over `reference_cartan_weyl`,
+    the assembly that ptlab's root-indexed matrix units replaced.
+
+    f, f' and the flow come from `ptlab.cms` itself, so only the assembly
+    of the matrices differs from `cms.lax_pair` and `cms.lax_residual`.
+    """
+    from ptlab import cms
+
+    basis = reference_cartan_weyl(sys.root_system)
+
+    def step_sum(xi, c):
+        return (np.einsum("k,kij->ij", xi, basis.cartan)
+                + np.einsum("a,aij->ij", c, basis.step))
+
+    f, fp = sys.potential.f_fprime(cms._check_nonsingular(sys))
+    qdot, _, qddot = cms._flow(sys, sys.p, f, fp)
+    c = 1j * sys.ghat * f
+    w = np.einsum("a,aij->i", c * f, basis.step)
+    m = np.einsum("kii,i->k", basis.cartan, w - w.mean())
+    L = step_sum(qdot, c)
+    M = step_sum(m, 1j * sys.ghat * fp)
+    Ldot = step_sum(qddot, 1j * sys.ghat * fp * (sys.roots @ qdot))
+    return L, M, m, float(np.linalg.norm(Ldot - (L @ M - M @ L)))
 
 
 # ---------------------------------------------------------------------------

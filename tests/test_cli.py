@@ -212,6 +212,21 @@ def test_cms_trajectory_without_lax_pair_has_no_charge_columns(tmp_path):
     assert header[-2:] == ["re_H", "im_H"]
 
 
+@pytest.mark.parametrize("family, rank", [("A", 2), ("D", 3), ("B", 2)])
+def test_cms_long_couplings_refused_without_long_roots(tmp_path, capsys, family, rank):
+    # A and D have no long roots, so g_long and gtilde_long would change
+    # nothing but the manifest; B has long roots and runs
+    for i, flags in enumerate((["--g-long", "5"], ["--gtilde-long", "3"],
+                               ["--g-long", "5", "--gtilde-long", "3"])):
+        code = run_main(tmp_path / str(i), "cms", "--family", family,
+                        "--rank", str(rank), "--steps", "10", *flags)
+        if family == "B":
+            assert code == cli.EXIT_OK
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert "no long roots" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [23, 62])
 def test_cms_trajectory_near_collision_keeps_charges(tmp_path, seed):
     # this start passes close to a collision; fixed-step RK4 lost the

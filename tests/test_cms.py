@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (rational_calogero_lax_reference, reference_equations_of_motion,
+from oracles import (cartan_weyl_lax, rational_calogero_lax_reference,
+                     rational_calogero_trajectory, reference_equations_of_motion,
                      reference_f_fprime, reference_lax, reference_rk4_trajectory,
                      reference_trajectory_rhs)
 from ptlab import _stepping, cli, cms
 from ptlab.errors import CapabilityError, PTLabError, SingularConfigError
-from ptlab.rootsys import build_cartan_weyl, build_root_system
+from ptlab.rootsys import build_root_system
 
 
 def random_state(rng, rs, potential, q_scale=2.0):
@@ -79,8 +80,7 @@ def test_at_shares_couplings_and_matches_a_fresh_system(family, potential):
                           couplings=sys.couplings, q=q, p=p)
     assert cms.hamiltonian(moved) == cms.hamiltonian(fresh)
     if family in cms.LAX_FAMILIES:
-        basis = build_cartan_weyl(sys.root_system)
-        assert cms.lax_residual(moved, basis) == cms.lax_residual(fresh, basis)
+        assert cms.lax_residual(moved) == cms.lax_residual(fresh)
 
 
 def test_unset_long_couplings_take_the_short_values():
@@ -94,10 +94,7 @@ def test_potential_derivative_consistency(kind):
     x = np.linspace(0.4, 1.2, 7)
     h = 1e-6
     assert np.allclose((kind.f(x + h) - kind.f(x - h)) / (2 * h),
-                       kind.fprime(x), atol=1e-6)
-    assert np.allclose(kind.V(x), kind.f(x) ** 2)
-    assert np.allclose((kind.V(x + h) - kind.V(x - h)) / (2 * h),
-                       kind.Vprime(x), atol=1e-5)
+                       kind.f_fprime(x)[1], atol=1e-6)
 
 
 @pytest.mark.parametrize("kind", list(cms.PotentialKind))
@@ -106,7 +103,7 @@ def test_f_fprime_is_f_and_fprime_bitwise(kind):
     x = rng.uniform(0.3, 2.5, 40) * rng.choice([-1.0, 1.0], 40) + 1j * rng.normal(0.0, 0.4, 40)
     f, fp = kind.f_fprime(x)
     ref_f, ref_fp = reference_f_fprime(kind, x)
-    for got, ref in ((f, kind.f(x)), (fp, kind.fprime(x)), (f, ref_f), (fp, ref_fp)):
+    for got, ref in ((f, kind.f(x)), (f, ref_f), (fp, ref_fp)):
         assert got.dtype == complex and got.tobytes() == ref.tobytes()
 
 
@@ -187,10 +184,9 @@ def test_bad_shapes_and_counts_fail_like_other_engines():
     # a PTLabError, which the CLI turns into an exit code, not a traceback
     sys = make("A", 2)
     q, p = random_state(np.random.default_rng(13), sys.root_system, sys.potential)
-    basis = build_cartan_weyl(sys.root_system)
     for evaluate, message in [
             (lambda: sys.at(q, p[:2]), "root representation dimension"),
-            (lambda: cms.conserved_charges(sys.at(q, p), basis, 0), "k_max"),
+            (lambda: cms.conserved_charges(sys.at(q, p), 0), "k_max"),
             (lambda: cms.basu_mallick_kundu_form(2, 0.0, 0.9, 0.4, q[:2], p[:2]),
              "length ell\\+1")]:
         with pytest.raises(PTLabError, match=message):
@@ -303,6 +299,33 @@ def test_trajectory_matches_reference_rk4(family, rank, potential):
     assert np.abs(got.p - ref.p).max() < 1e-8
 
 
+# (g, gtilde) with ghat^2 = g^2 + gtilde^2 = 1.7, 0.81 and -0.21
+@pytest.mark.parametrize("g, gtilde", [(1.1, 0.7), (0.0, 0.9), (0.2, 0.5j)])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_rational_trajectory_matches_projection_oracle(rank, g, gtilde):
+    # the deformed rational A flow is the Calogero flow with coupling ghat
+    # and the complex start velocity qdot0 = p0 + i mu(q0), whose positions
+    # are exact eigenvalues; real parts start 1.5 apart, so none comes near
+    # the singular-hyperplane guard by t = 2
+    rng = np.random.default_rng(30 + rank)
+    n = rank + 1
+    sys = make("A", rank, g=g, gtilde=gtilde)
+    q0 = 1.5 * np.arange(n) + rng.uniform(-0.2, 0.2, n) + 0.3j * rng.normal(size=n)
+    p0 = rng.uniform(-0.3, 0.3, n) + 0.2j * rng.normal(size=n)
+    traj = cms.integrate_trajectory(sys.at(q0, p0), dt=0.01, n_steps=200, record_every=20)
+    assert traj.completed and traj.times[-1] == 2.0
+    # mu_j = gtilde sum_(k != j) 1/(q_j - q_k) on the A series
+    dq = q0[:, None] - q0[None, :]
+    np.fill_diagonal(dq, np.inf)
+    qdot0 = p0 + 1j * gtilde * (1.0 / dq).sum(axis=1)
+    ghat = np.sqrt(complex(g**2 + gtilde**2))
+    for t, q in zip(traj.times, traj.q):
+        dist = np.abs(q[:, None] - rational_calogero_trajectory(q0, qdot0, ghat, t))
+        # each particle on its own nearest eigenvalue
+        assert sorted(dist.argmin(axis=1)) == list(range(n))
+        assert dist.min(axis=1).max() < 1e-10
+
+
 @pytest.mark.parametrize("potential", ["rational", "trigonometric", "hyperbolic"])
 @pytest.mark.parametrize("family, rank", [("A", 2), ("B", 3), ("C", 3)])
 def test_trajectory_rhs_is_the_replaced_one_bitwise(monkeypatch, family, rank, potential):
@@ -385,19 +408,17 @@ def test_trajectory_step_size_collapse_stops_run(monkeypatch):
 def test_lax_closes_for_A2(potential):
     rng = np.random.default_rng(15)
     sys = make("A", 2, potential=potential)
-    basis = build_cartan_weyl(sys.root_system)
     for _ in range(10):
         q, p = random_state(rng, sys.root_system, sys.potential)
-        assert cms.lax_residual(sys.at(q, p), basis) < 1e-8
+        assert cms.lax_residual(sys.at(q, p)) < 1e-8
 
 
 def test_lax_matches_textbook_rational_calogero():
     # gtilde = 0, A_2 rational: L reduces to the classical Calogero matrix
     rng = np.random.default_rng(16)
     sys = make("A", 2, g=0.8, gtilde=0.0)
-    basis = build_cartan_weyl(sys.root_system)
     q, p = random_state(rng, sys.root_system, sys.potential)
-    pair = cms.lax_pair(sys.at(q, p), basis)
+    pair = cms.lax_pair(sys.at(q, p))
     ref = rational_calogero_lax_reference(q, 0.8) + np.diag(p)
     assert np.abs(pair.L - ref).max() < 1e-10
 
@@ -407,18 +428,40 @@ def test_lax_matches_textbook_rational_calogero():
 def test_lax_matches_reference(family, rank, potential):
     rng = np.random.default_rng(20)
     sys = make(family, rank, potential=potential, g_long=0.6, gtilde_long=1.3)
-    basis = build_cartan_weyl(sys.root_system)
     for _ in range(10):
         q, p = random_state(rng, sys.root_system, sys.potential)
         s = sys.at(q + 0.05j * rng.normal(size=q.size),
                    p + 0.3j * rng.normal(size=p.size))
-        pair = cms.lax_pair(s, basis)
-        L, M, m, residual = reference_lax(s, basis)
+        pair = cms.lax_pair(s)
+        L, M, m, residual = reference_lax(s)
         for got, ref in ((pair.L, L), (pair.M, M), (pair.m, m)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         # the residual is a difference of commutator terms of size |L| |M|
         scale = max(residual, np.linalg.norm(L) * np.linalg.norm(M))
-        assert abs(cms.lax_residual(s, basis) - residual) <= 1e-13 * scale
+        assert abs(cms.lax_residual(s) - residual) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("potential", ["rational", "trigonometric", "hyperbolic"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lax_is_the_replaced_cartan_weyl_assembly_bitwise(rank, potential):
+    # root e_i - e_j is the matrix unit E_ij: the same numbers as the
+    # einsums over the Cartan-Weyl basis, and so the same charges
+    rng = np.random.default_rng(22)
+    sys = make("A", rank, potential=potential)
+    for _ in range(10):
+        q, p = random_state(rng, sys.root_system, sys.potential)
+        s = sys.at(q + 0.05j * rng.normal(size=q.size),
+                   p + 0.3j * rng.normal(size=p.size))
+        pair = cms.lax_pair(s)
+        L, M, m, residual = cartan_weyl_lax(s)
+        for got, ref in ((pair.L, L), (pair.M, M), (pair.m, m)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(cms.lax_residual(s), residual)
+        Lk, charges = np.eye(rank + 1, dtype=complex), []
+        for _ in range(3):
+            Lk = Lk @ L
+            charges.append(complex(np.trace(Lk)) / 2.0)
+        assert np.array_equal(cms.conserved_charges(s, 3), charges)
 
 
 def counted_singularity_checks(monkeypatch):
@@ -437,16 +480,16 @@ def counted_singularity_checks(monkeypatch):
 @pytest.mark.parametrize("potential", ["rational", "trigonometric", "hyperbolic"])
 @pytest.mark.parametrize("family, rank", [("B", 2), ("B", 3), ("C", 3), ("D", 4)])
 def test_lax_refused_without_closure(monkeypatch, family, rank, potential):
-    # the Cartan fit of M does not close off the A series: refuse before
-    # evaluating anything rather than report a residual or drifting charges
+    # the defining-representation pair of the A series does not close for
+    # other families: refuse before evaluating anything rather than report
+    # a residual or drifting charges
     sys = make(family, rank, potential=potential, g_long=0.6, gtilde_long=1.3)
-    basis = build_cartan_weyl(sys.root_system)
     q, p = random_state(np.random.default_rng(20), sys.root_system, sys.potential)
     s = sys.at(q, p)
     calls = counted_singularity_checks(monkeypatch)
-    for evaluate in (lambda: cms.lax_pair(s, basis),
-                     lambda: cms.lax_residual(s, basis),
-                     lambda: cms.conserved_charges(s, basis, 3)):
+    for evaluate in (lambda: cms.lax_pair(s),
+                     lambda: cms.lax_residual(s),
+                     lambda: cms.conserved_charges(s, 3)):
         with pytest.raises(CapabilityError, match=f"family {family}"):
             evaluate()
     assert calls == []
@@ -457,13 +500,12 @@ def test_one_singularity_check_per_evaluation(monkeypatch):
     q, p = random_state(np.random.default_rng(21), sys.root_system, sys.potential)
     s = sys.at(q, p)
     lax_sys = make("A", 3, potential="trigonometric")
-    basis = build_cartan_weyl(lax_sys.root_system)
     q, p = random_state(np.random.default_rng(21), lax_sys.root_system,
                         lax_sys.potential)
     lax_s = lax_sys.at(q, p)
     calls = counted_singularity_checks(monkeypatch)
-    for evaluate in (lambda: cms.lax_residual(lax_s, basis),
-                     lambda: cms.conserved_charges(lax_s, basis, 3),
+    for evaluate in (lambda: cms.lax_residual(lax_s),
+                     lambda: cms.conserved_charges(lax_s, 3),
                      lambda: cms.hamiltonian(s),
                      lambda: cms.equations_of_motion(s)):
         calls.clear()
@@ -474,13 +516,12 @@ def test_one_singularity_check_per_evaluation(monkeypatch):
 def test_charges_constant_along_flow():
     rng = np.random.default_rng(17)
     sys = make("A", 2)
-    basis = build_cartan_weyl(sys.root_system)
     q, p = random_state(rng, sys.root_system, sys.potential)
     traj = cms.integrate_trajectory(sys.at(q, p), dt=1e-3, n_steps=400,
                                     record_every=100)
     assert traj.completed
     charges = np.array([cms.conserved_charges(sys.at(traj.q[i], traj.p[i]),
-                                              basis, 3)
+                                              3)
                         for i in range(len(traj.times))])
     rel = np.abs(charges - charges[0]).max(axis=0) / (1.0 + np.abs(charges[0]))
     assert rel.max() < 1e-7
@@ -489,10 +530,9 @@ def test_charges_constant_along_flow():
 def test_second_charge_equals_hamiltonian():
     rng = np.random.default_rng(18)
     sys = make("A", 2)
-    basis = build_cartan_weyl(sys.root_system)
     q, p = random_state(rng, sys.root_system, sys.potential)
     s = sys.at(q, p)
-    charges = cms.conserved_charges(s, basis, 2)
+    charges = cms.conserved_charges(s, 2)
     assert abs(charges[1] - cms.hamiltonian(s)) < 1e-10
 
 

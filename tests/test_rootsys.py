@@ -1,14 +1,13 @@
-"""Root system generation and Cartan-Weyl matrix bases."""
+"""Root system generation, and the Cartan-Weyl matrix bases of the oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_simple_roots
-from ptlab.errors import CapabilityError, ConfigurationError
-from ptlab.rootsys import (CartanWeylBasis, build_cartan_weyl,
-                           build_root_system, reflect)
+from oracles import reference_cartan_weyl, reference_simple_roots
+from ptlab.errors import ConfigurationError
+from ptlab.rootsys import build_root_system, reflect
 
 COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12,
@@ -30,11 +29,10 @@ def test_root_counts(family, rank):
 
 @pytest.mark.parametrize("family,rank", FAMILY_RANKS)
 def test_negation_closure(family, rank):
+    # positives, then their negatives in the same order
     rs = build_root_system(family, rank)
-    for i in range(rs.n_roots):
-        j = rs.negative_index(i)
-        assert np.allclose(rs.roots[j], -rs.roots[i])
-        assert rs.negative_index(j) == i
+    n = rs.n_positive
+    assert np.array_equal(rs.roots[n:], -rs.roots[:n])
 
 
 @pytest.mark.parametrize("family,rank", FAMILY_RANKS)
@@ -53,7 +51,7 @@ def test_length_orbits(family, rank):
         assert len(long_sq) == len(short_sq) == 1
         assert long_sq.pop() / short_sq.pop() == pytest.approx(3.0 if family == "G2" else 2.0)
     # -a lies in the orbit of a
-    assert all(rs.long[rs.negative_index(i)] == rs.long[i] for i in range(rs.n_roots))
+    assert np.array_equal(rs.long[rs.n_positive:], rs.long[:rs.n_positive])
 
 
 @pytest.mark.parametrize("family,rank", FAMILY_RANKS)
@@ -99,7 +97,10 @@ def test_invalid_pairs_rejected(family, rank):
 
 
 # ---------------------------------------------------------------------------
-# Cartan-Weyl bases
+# Cartan-Weyl bases of the defining representations (`oracles`): their
+# weights are the roots `build_root_system` lists, in its order, which checks
+# the root data against an algebra; the A-series basis also rebuilds the
+# replaced Lax assembly for `test_cms`
 # ---------------------------------------------------------------------------
 
 MATRIX_FAMILIES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -111,7 +112,7 @@ def bases():
     out = {}
     for fr in MATRIX_FAMILIES:
         rs = build_root_system(*fr)
-        out[fr] = (rs, build_cartan_weyl(rs))
+        out[fr] = (rs, reference_cartan_weyl(rs))
     return out
 
 
@@ -124,7 +125,7 @@ def test_trace_normalization(bases, fr):
             tr = np.trace(cw.cartan[a] @ cw.cartan[b])
             assert tr == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
     for i in range(rs.n_roots):
-        tr = np.trace(cw.step[i] @ cw.step[rs.negative_index(i)])
+        tr = np.trace(cw.step[i] @ cw.step[cw.negative[i]])
         assert tr == pytest.approx(1.0, abs=1e-12)
     # the index array pairs each step operator with its E_-a in one stack
     tr = np.einsum("aij,aji->a", cw.step, cw.step[cw.negative])
@@ -155,7 +156,7 @@ def test_step_step_commutators(bases, fr):
     rs, cw = bases[fr]
     w = cartan_weights(rs)
     for i in range(rs.n_roots):
-        j = rs.negative_index(i)
+        j = cw.negative[i]
         comm = cw.step[i] @ cw.step[j] - cw.step[j] @ cw.step[i]
         expect = np.einsum("a,aij->ij", w[i], cw.cartan)
         assert np.abs(comm - expect).max() < 1e-12
@@ -168,7 +169,7 @@ def test_structure_constants(bases, fr):
     rs, cw = bases[fr]
     for i in range(rs.n_roots):
         for j in range(rs.n_roots):
-            if j == rs.negative_index(i):
+            if j == cw.negative[i]:
                 continue
             comm = cw.step[i] @ cw.step[j] - cw.step[j] @ cw.step[i]
             dist = np.abs(rs.roots - (rs.roots[i] + rs.roots[j])).sum(axis=1)
@@ -176,7 +177,7 @@ def test_structure_constants(bases, fr):
             if dist[k] > 1e-9:
                 assert np.abs(comm).max() < 1e-12
                 continue
-            eps = np.trace(comm @ cw.step[rs.negative_index(k)])
+            eps = np.trace(comm @ cw.step[cw.negative[k]])
             assert np.abs(comm - eps * cw.step[k]).max() < 1e-12
             assert abs(eps) > 1e-8
 
@@ -192,9 +193,3 @@ def test_basis_root_scaling(bases, fr):
         for a, h in enumerate(cw.cartan):
             read[k, a] = ((h @ e - e @ h)[i0, j0] / e[i0, j0]).real
     assert np.allclose(read, cartan_weights(rs), atol=1e-12)
-
-
-def test_g2_matrices_unsupported():
-    rs = build_root_system("G2", 2)
-    with pytest.raises(CapabilityError):
-        build_cartan_weyl(rs)
