@@ -66,7 +66,6 @@ SCHEMAS = {
         "gtilde": (float, 0.0),
         "dim": (int, 80),
         "k": (int, 10),
-        "tol": (float, 1e-6),
         "metric": (_bool, False),
     },
     "susy": {
@@ -111,25 +110,62 @@ COMMON_KEYS = {"seed": (int, 0), "output_dir": (str, ".")}
 
 def read_config_file(path):
     """Flat key=value file -> ({key: raw string}, {key: line number})."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            file_lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}")
     values, lines = {}, {}
-    with open(path, "r", encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{ln}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in values:
-                raise ConfigurationError(f"{path}:{ln}: duplicate key {key!r}")
-            values[key] = val
-            lines[key] = ln
+    for ln, raw in enumerate(file_lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in values:
+            raise ConfigurationError(f"{path}:{ln}: duplicate key {key!r}")
+        values[key] = val
+        lines[key] = ln
     return values, lines
 
 
+def _window(text):
+    """The (lo, hi) of a susy window "lo:hi"."""
+    lo, _, hi = text.partition(":")
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise ConfigurationError(f"window must be 'lo:hi', got {text!r}")
+
+
+def _check_spectra(params):
+    if params["metric"] and params["model"] == "monomial":
+        raise ConfigurationError("metric search applies to Fock-space models only")
+
+
+def _check_susy(params):
+    _window(params["window"])
+
+
+def _check_cms(params):
+    rs = rootsys.build_root_system(params["family"], params["rank"])
+    long_set = not np.isnan([params["g_long"], params["gtilde_long"]]).all()
+    if long_set and not rs.long.any():
+        raise ConfigurationError(f"{rs.family}_{rs.rank} has no long roots: "
+                                 "g_long and gtilde_long do not apply")
+    if params["check"] != "none" and params["samples"] < 1:
+        raise ConfigurationError(f"samples must be >= 1, got {params['samples']}")
+
+
+# the refusals a subcommand's params decide, made before any engine runs
+CHECKS = {"spectra": _check_spectra, "susy": _check_susy, "cms": _check_cms}
+
+
 def resolve_config(subcommand, raw, origin=None):
-    """Validate raw string parameters against the subcommand schema.
+    """Validate raw string parameters against the subcommand schema, then
+    against its CHECKS.
 
     `origin` maps keys to "file:line" strings for line-precise messages.
     Returns (params dict, seed, output_dir).
@@ -159,6 +195,8 @@ def resolve_config(subcommand, raw, origin=None):
             out[key] = default
     seed = out.pop("seed")
     output_dir = out.pop("output_dir")
+    if subcommand in CHECKS:
+        CHECKS[subcommand](out)
     return out, seed, output_dir
 
 
@@ -224,21 +262,18 @@ def write_manifest(output_dir, subcommand, params, seed, artifacts, extra=None):
 
 def run_spectra(params, seed, output_dir):
     model = params["model"]
-    if params["metric"] and model == "monomial":
-        raise ConfigurationError("metric search applies to Fock-space models only")
     if model == "monomial":
         m = spectra.MonomialModel(N=params["N"], g=params["g"],
                                   half_width=params["half_width"],
                                   n_grid=params["n_grid"])
-        rep = spectra.monomial_spectrum(m, k=params["k"], tol=params["tol"])
+        rep = spectra.monomial_spectrum(m, k=params["k"])
     else:
         def build(d):
             if model == "reggeon":
                 return spectra.reggeon_single_site(params["delta"], params["g"], d)
             return spectra.swanson_model(params["delta"], params["g"],
                                          params["gtilde"], d)
-        rep = spectra.fock_report(build, params["dim"], k=params["k"],
-                                  tol=params["tol"])
+        rep = spectra.fock_report(build, params["dim"], k=params["k"])
 
     doc = {"model": model,
            "params": {k: params[k] for k in sorted(params)},
@@ -266,11 +301,7 @@ _PROFILES = {
 
 
 def run_susy(params, seed, output_dir):
-    lo, _, hi = params["window"].partition(":")
-    try:
-        window = (float(lo), float(hi))
-    except ValueError:
-        raise ConfigurationError(f"window must be 'lo:hi', got {params['window']!r}")
+    window = _window(params["window"])
     f = _PROFILES[params["profile"]]
     psi = susy.GridWavefunction.from_callable(
         lambda x: f(x, params["alpha"]), window, params["n"])
@@ -316,9 +347,6 @@ def run_cms(params, seed, output_dir):
         g_long=None if np.isnan(params["g_long"]) else params["g_long"],
         gtilde_long=None if np.isnan(params["gtilde_long"]) else params["gtilde_long"])
     rs = rootsys.build_root_system(params["family"], params["rank"])
-    if not rs.long.any() and (couplings.g_long, couplings.gtilde_long) != (None, None):
-        raise ConfigurationError(f"{rs.family}_{rs.rank} has no long roots: "
-                                 "g_long and gtilde_long do not apply")
     rng = np.random.default_rng(seed)
     zero = np.zeros(rs.dim)
     system = cms.CMSSystem(root_system=rs,
@@ -328,8 +356,6 @@ def run_cms(params, seed, output_dir):
     lax = rs.family in cms.LAX_FAMILIES and params["check"] != "mu-identity"
 
     if params["check"] != "none":
-        if params["samples"] < 1:
-            raise ConfigurationError(f"samples must be >= 1, got {params['samples']}")
         res = []
         for _ in range(params["samples"]):
             q, p = _random_cms_state(rng, system)
@@ -433,7 +459,6 @@ def run(subcommand, raw_params, origin=None):
 
     The engines run with both OpenBLAS copies at one thread (`_blas`)."""
     params, seed, output_dir = resolve_config(subcommand, raw_params, origin)
-    os.makedirs(output_dir, exist_ok=True)
     with _blas.one_thread():
         artifacts, extra = RUNNERS[subcommand](params, seed, output_dir)
     manifest = write_manifest(output_dir, subcommand, params, seed, artifacts,
@@ -461,14 +486,16 @@ def run_sweep(config_path, output_dir=None, max_workers=1):
 
     Keys whose value holds commas are gridded (at most 3); each cell is one
     combination of their values and runs through `run` into its own
-    directory, tagged `key=value_...` in sorted key order.  Every cell is
-    validated before any runs, and a gridded key that repeats a value is
-    refused, since two cells would share a directory (ConfigurationError).
-    The cells then run one after another in the calling thread, in the
-    order of `index["cells"]`.  A cell whose engine fails is recorded as an
-    error and the rest still run; the exit code is EXIT_PARTIAL if any
-    failed, else EXIT_OK.  `sweep_manifest.json` in `output_dir` holds the
-    index.
+    directory, tagged `key=value_...` in sorted key order.  Before any cell
+    runs, every cell passes `resolve_config` (its schema and the
+    subcommand's CHECKS), and a gridded key that repeats a value is
+    refused, since two cells would share a directory; either refusal
+    raises ConfigurationError and writes nothing.  The cells then run one
+    after another in the calling thread, in the order of `index["cells"]`.
+    A cell whose engine fails, or refuses what only it can check, is
+    recorded as an error and the rest still run; the exit code is
+    EXIT_PARTIAL if any failed, else EXIT_OK.  `sweep_manifest.json` in
+    `output_dir` holds the index.
 
     `max_workers` has no effect.  It remains only because
     `perfbench/worker.py` passes it; the benchmark-only change that stops

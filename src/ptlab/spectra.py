@@ -52,16 +52,18 @@ class SpectrumReport:
         }
 
 
-def classify_spectrum(eigs, tol):
-    """Real-or-conjugate-pair classification at tolerance `tol`.
+# |Im E| at which `classify_spectrum` calls a level complex
+CLASSIFY_TOL = 1e-6
+
+
+def classify_spectrum(eigs):
+    """Real-or-conjugate-pair classification at tolerance CLASSIFY_TOL.
 
     Returns (classification, pairing).  Complex eigenvalues are paired
     greedily with their nearest conjugate partner; leftovers mean Mixed.
     """
-    if not tol > 0:
-        raise ConfigurationError("tol must be positive")
     eigs = np.asarray(eigs, dtype=complex)
-    complex_idx = [i for i, e in enumerate(eigs) if abs(e.imag) >= tol]
+    complex_idx = [i for i, e in enumerate(eigs) if abs(e.imag) >= CLASSIFY_TOL]
     pairing = {}
     if not complex_idx:
         return Classification.ALL_REAL, pairing
@@ -71,7 +73,7 @@ def classify_spectrum(eigs, tol):
         if i not in unmatched or not others:
             continue
         best = min(others, key=lambda j: abs(eigs[j] - np.conj(eigs[i])))
-        if abs(eigs[best] - np.conj(eigs[i])) < 2 * tol * (1.0 + abs(eigs[i])):
+        if abs(eigs[best] - np.conj(eigs[i])) < 2 * CLASSIFY_TOL * (1.0 + abs(eigs[i])):
             pairing[i], pairing[best] = best, i
             unmatched -= {i, best}
     if unmatched:
@@ -79,11 +81,29 @@ def classify_spectrum(eigs, tol):
     return Classification.CONJUGATE_PAIRS, pairing
 
 
-def make_report(eigs, tol=1e-6, diagnostics=None):
-    cls, pairing = classify_spectrum(eigs, tol)
+def make_report(eigs, diagnostics=None):
+    cls, pairing = classify_spectrum(eigs)
     return SpectrumReport(eigenvalues=np.asarray(eigs, dtype=complex),
                           classification=cls, pairing=pairing,
                           diagnostics=diagnostics or {})
+
+
+def _two_resolution_report(solve, resolutions, threshold, combine):
+    """Report of the levels of `solve` at the coarse of `resolutions`, with
+    `combine(coarse, fine)` in place of those the fine solve also gives.
+
+    A level is flagged when its `change` |fine - coarse| exceeds
+    `threshold`, or when only the coarse solve gives it.
+    """
+    coarse, fine = (solve(r) for r in resolutions)
+    j = min(coarse.size, fine.size)
+    change = np.abs(fine[:j] - coarse[:j])
+    levels = np.concatenate([combine(coarse[:j], fine[:j]), coarse[j:]])
+    flagged = [*np.nonzero(change > threshold)[0], *range(j, coarse.size)]
+    return make_report(levels, diagnostics={
+        "change": change.tolist(),
+        "flagged": [int(i) for i in flagged],
+        "resolutions": list(resolutions)})
 
 
 # ---------------------------------------------------------------------------
@@ -141,35 +161,24 @@ def _grid_eigs(potential, half_width, n, k):
     return _smallest_levels(bands, k, 0.0)
 
 
-def monomial_spectrum(model: MonomialModel, k=10, tol=1e-6):
+def monomial_spectrum(model: MonomialModel, k=10):
     """Lowest-k eigenvalues (by modulus) with Richardson extrapolation.
 
-    Eigenvalues are computed on the model grid and on a grid with half
-    the spacing; the h^4 error of the 5-point stencil is removed by
-    Richardson extrapolation and the raw grid-to-grid change is reported
-    as a convergence diagnostic (entries changing by more than 1e-4 are
-    flagged as non-converged).  Each grid gives k levels, or k + 1 when
-    the k-th opens a conjugate pair (`_smallest_levels`); the levels both
-    grids give are reported.  Needs 1 <= k <= 20 and k < n_grid - 1;
-    other k raise ConfigurationError.
+    The model grid and one of half its spacing (`_two_resolution_report`)
+    each give k levels, or k + 1 when the k-th opens a conjugate pair
+    (`_smallest_levels`); the 5-point stencil's h^4 error is extrapolated
+    away, and a level changing by more than 1e-4 is flagged.  Needs
+    1 <= k <= 20 and k < n_grid - 1; other k raise ConfigurationError.
     """
     if k > 20:
         raise ConfigurationError("at most 20 eigenvalues are reported")
     if not 1 <= k < model.n_grid - 1:
         raise ConfigurationError(f"k must satisfy 1 <= k < n_grid - 1 = "
                                  f"{model.n_grid - 1}, got {k}")
-    e1, e2 = (_grid_eigs(model.potential, model.half_width, n, k)
-              for n in (model.n_grid, 2 * model.n_grid - 1))
-    j = min(e1.size, e2.size)
-    e1, e2 = e1[:j], e2[:j]
-    extrap = (16.0 * e2 - e1) / 15.0
-    change = np.abs(e2 - e1)
-    flagged = [int(i) for i in np.nonzero(change > 1e-4)[0]]
-    return make_report(extrap, tol=tol, diagnostics={
-        "grid_change": change.tolist(),
-        "flagged": flagged,
-        "n_grid": [model.n_grid, 2 * model.n_grid - 1],
-    })
+    return _two_resolution_report(
+        lambda n: _grid_eigs(model.potential, model.half_width, n, k),
+        (model.n_grid, 2 * model.n_grid - 1), 1e-4,
+        lambda coarse, fine: (16.0 * fine - coarse) / 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +298,13 @@ def swanson_model(delta, g, gtilde, dim):
     return TruncatedFockOperator(bands)
 
 
-def fock_report(build, dim, k=10, tol=1e-6):
-    """Lowest-k levels of build(dim), 1 <= k <= dim, and their change when
-    the truncation grows from dim to dim + 20.
-
-    Either solve may add the partner of its k-th level
-    (`_smallest_levels`); the change covers the levels both give, and a
-    level the larger truncation does not give is flagged.
-    """
-    eigs = build(dim).eigenvalues(k)
-    wider = build(dim + 20).eigenvalues(k)
-    j = min(eigs.size, wider.size)
-    change = np.abs(wider[:j] - eigs[:j])
-    flagged = [*np.nonzero(change > 1e-8)[0], *range(j, eigs.size)]
-    return make_report(eigs, tol=tol, diagnostics={
-        "truncation_change": change.tolist(),
-        "flagged": [int(i) for i in flagged],
-        "dims": [dim, dim + 20]})
+def fock_report(build, dim, k=10):
+    """Lowest-k levels of build(dim), 1 <= k <= dim, flagged where they
+    change by more than 1e-8 when the truncation grows from dim to
+    dim + 20 (`_two_resolution_report`)."""
+    return _two_resolution_report(lambda d: build(d).eigenvalues(k),
+                                  (dim, dim + 20), 1e-8,
+                                  lambda coarse, fine: coarse)
 
 
 def is_pt_symmetric_fock(op: TruncatedFockOperator):

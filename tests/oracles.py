@@ -23,8 +23,10 @@ rational Calogero trajectories, and fixed-step RK4 on (q, p) for the adaptive CM
 own sines, a concatenated result) for the one-pass one, the stepping
 loop over scipy's `DOP853` solver object for the one with its own
 tableau and controller, the textbook simple-root tables for the
-derived simple roots, and the first CSV writer (one formatted value at a
-time, row by row) for the column writer of the CLI artifacts.
+derived simple roots, the first CSV writer (one formatted value at a
+time, row by row) for the column writer of the CLI artifacts, and the
+first grid and Fock spectrum reports, each with its own convergence
+rule, for the shared two-resolution one.
 """
 
 from __future__ import annotations
@@ -903,3 +905,45 @@ def reference_csv_text(header, rows):
         lines.append(",".join("%.17e" % v if isinstance(v, float) else str(v)
                               for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the first two-resolution spectrum reports
+# ---------------------------------------------------------------------------
+
+def reference_monomial_report(model, k=10):
+    """ptlab's grid report before the shared two-resolution driver: levels
+    on grids n and 2n - 1, Richardson-extrapolated over the levels both
+    give (a level only the coarse grid gives is dropped), flagged above a
+    change of 1e-4."""
+    from ptlab import spectra
+
+    e1, e2 = (spectra._grid_eigs(model.potential, model.half_width, n, k)
+              for n in (model.n_grid, 2 * model.n_grid - 1))
+    j = min(e1.size, e2.size)
+    e1, e2 = e1[:j], e2[:j]
+    extrap = (16.0 * e2 - e1) / 15.0
+    change = np.abs(e2 - e1)
+    flagged = [int(i) for i in np.nonzero(change > 1e-4)[0]]
+    return spectra.make_report(extrap, diagnostics={
+        "grid_change": change.tolist(),
+        "flagged": flagged,
+        "n_grid": [model.n_grid, 2 * model.n_grid - 1],
+    })
+
+
+def reference_fock_report(build, dim, k=10):
+    """ptlab's Fock report before the shared two-resolution driver: the
+    levels of build(dim), their change at dim + 20 over the levels both
+    give, flagged above 1e-8 or when only dim gives them."""
+    from ptlab import spectra
+
+    eigs = build(dim).eigenvalues(k)
+    wider = build(dim + 20).eigenvalues(k)
+    j = min(eigs.size, wider.size)
+    change = np.abs(wider[:j] - eigs[:j])
+    flagged = [*np.nonzero(change > 1e-8)[0], *range(j, eigs.size)]
+    return spectra.make_report(eigs, diagnostics={
+        "truncation_change": change.tolist(),
+        "flagged": [int(i) for i in flagged],
+        "dims": [dim, dim + 20]})

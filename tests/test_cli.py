@@ -321,6 +321,48 @@ def test_monomial_metric_refused_before_eigensolves(tmp_path, capsys, monkeypatc
     assert "Fock-space models only" in capsys.readouterr().err
 
 
+def test_refused_run_writes_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["cms", "--family", "A", "--rank", "2", "--g-long", "5",
+                     "--output-dir", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "no long roots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_diagnostics_share_one_schema(tmp_path):
+    docs = []
+    for model, flags in (("monomial", ["--n-grid", "200", "--k", "4"]),
+                         ("swanson", ["--dim", "24", "--k", "4"])):
+        assert run_main(tmp_path / model, "spectra", "--model", model,
+                        *flags) == cli.EXIT_OK
+        docs.append(json.loads((tmp_path / model / "spectrum.json").read_text()))
+    assert [sorted(d["diagnostics"]) for d in docs] == [["change", "flagged",
+                                                         "resolutions"]] * 2
+    assert [d["diagnostics"]["resolutions"] for d in docs] == [[200, 399], [24, 44]]
+    assert all("tol" not in d["params"] for d in docs)
+
+
+def test_verdict_tolerance_is_not_a_config_key(tmp_path, capsys):
+    cfg = write(tmp_path, "run.cfg", "model=swanson\ndim=24\ntol=1e-6\n")
+    assert run_main(tmp_path / "out", "spectra", "--config", cfg) == cli.EXIT_CONFIG
+    assert "unknown key 'tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [None, "model=swanson\n# général\n".encode("latin-1")],
+                         ids=["missing", "not-ascii"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    for argv in (["spectra", "--config", str(cfg), "--output-dir", str(tmp_path / "out")],
+                 ["sweep", str(cfg), "--output-dir", str(tmp_path / "sw")]):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sw").exists()
+
+
 @pytest.mark.parametrize("model, eps, conserved", [
     ("bender", "2", False), ("bender", "1", True), ("fring", "3", True)])
 def test_kdv_manifest_labels_charge_conservation(tmp_path, model, eps, conserved):
@@ -401,13 +443,13 @@ _NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "1
     ["cms", "--family", "A", "--rank", "2", "--record-every", "0"],
     ["cms", "--family", "A", "--rank", "2", "--check", "lax", "--samples", "0"],
     ["cms", "--family", "A", "--rank", "2", "--steps", "-5"],
-    ["spectra", "--model", "swanson", "--dim", "24", "--tol", "0"],
+    ["cms", "--family", "D", "--rank", "2"],
     ["susy", "--n", "10"],
     ["susy", "--window", "8:-8"],
     ["spectra", "--model", "reggeon", "--dim", "40", "--k", "0"],
     ["spectra", "--model", "reggeon", "--dim", "40", "--k", "50"],
+    ["susy", "--window", "8"],
     # NaN where a positive number is required
-    ["spectra", "--model", "monomial", "--N", "3", "--n-grid", "200", "--tol", "nan"],
     ["spectra", "--model", "monomial", "--g", "nan"],
     ["kdv", "--model", "fring", "--dt", "nan"],
     ["kdv", "--model", "fring", "--L-domain", "nan"],
@@ -450,8 +492,8 @@ _NAN_FORCE = ["cms", "--family", "A", "--rank", "2", "--g", "nan", "--steps", "1
 def test_exit_code_bad_level_count(tmp_path, capsys, argv):
     # k must satisfy 1 <= k < n - 1 on every grid engine and 1 <= k <= dim
     # on the Fock engines; other bad values (step size, record spacing,
-    # sample, grid and snapshot counts, tolerance, window, NaN, infinity,
-    # a ground state that underflows) are config errors too
+    # sample, grid and snapshot counts, family and rank, window, NaN,
+    # infinity, a ground state that underflows) are config errors too
     if argv is _NAN_FORCE:
         # a NaN force once kept the trajectory solver stepping for good:
         # a regression must fail here, not hang the suite
@@ -566,6 +608,20 @@ def test_sweep_validates_cells_before_running(tmp_path):
                 "subcommand=spectra\nmodel=swanson\ndim=24,notanumber\n")
     with pytest.raises(ConfigurationError, match="bad value"):
         cli.run_sweep(cfg, output_dir=str(tmp_path / "sw"))
+
+
+@pytest.mark.parametrize("config, message", [
+    # the B cell would run; the A cell has no long roots for g_long
+    ("family=B,A\nrank=2\ng_long=5\nsteps=10", "no long roots"),
+    ("family=A\nrank=2,3\ncheck=lax\nsamples=0", "samples must be >= 1"),
+])
+def test_sweep_refuses_cross_key_errors_before_any_cell(tmp_path, capsys, config,
+                                                         message):
+    cfg = write(tmp_path, "sweep.cfg", f"subcommand=cms\n{config}\n")
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", cfg, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid, key, value", [

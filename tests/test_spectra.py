@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from oracles import (biorthogonal_metric, bilinear_levels, cubic_ground_energy,
                      cubic_interaction_element, dense_schrodinger,
-                     reference_fock_eigenvalues, reference_metric_normal_equations,
-                     reference_metric_objective, reference_metric_search,
+                     reference_fock_eigenvalues, reference_fock_report,
+                     reference_metric_normal_equations, reference_metric_objective,
+                     reference_metric_search, reference_monomial_report,
                      swanson_metric)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
@@ -23,27 +24,22 @@ from ptlab.gridops import pt_fold
 # ---------------------------------------------------------------------------
 
 def test_classify_all_real():
-    cls, pairing = spectra.classify_spectrum([1.0, 2.0, 3.0 + 1e-9j], tol=1e-6)
+    cls, pairing = spectra.classify_spectrum([1.0, 2.0, 3.0 + 1e-9j])
     assert cls is spectra.Classification.ALL_REAL
     assert pairing == {}
 
 
 def test_classify_conjugate_pairs():
     eigs = [1.0, 2.0 + 0.5j, 2.0 - 0.5j, 4.0]
-    cls, pairing = spectra.classify_spectrum(eigs, tol=1e-6)
+    cls, pairing = spectra.classify_spectrum(eigs)
     assert cls is spectra.Classification.CONJUGATE_PAIRS
     assert pairing == {1: 2, 2: 1}
 
 
 def test_classify_mixed():
     eigs = [1.0, 2.0 + 0.5j, 2.0 - 0.5j, 4.0 + 1.0j]
-    cls, pairing = spectra.classify_spectrum(eigs, tol=1e-6)
+    cls, pairing = spectra.classify_spectrum(eigs)
     assert cls is spectra.Classification.MIXED
-
-
-def test_classify_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        spectra.classify_spectrum([1.0], tol=0.0)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=0, max_size=6),
@@ -57,7 +53,7 @@ def test_classification_property(reals, pairs, rnd):
         eigs.append(complex(re, im))
         eigs.append(complex(re, -im))
     rnd.shuffle(eigs)
-    cls, pairing = spectra.classify_spectrum(eigs, tol=1e-6)
+    cls, pairing = spectra.classify_spectrum(eigs)
     assert cls in (spectra.Classification.ALL_REAL,
                    spectra.Classification.CONJUGATE_PAIRS)
     if pairs:
@@ -111,14 +107,14 @@ def test_quartic_reversed_sign_all_real():
     rep = spectra.monomial_spectrum(model, k=8)
     assert rep.classification is spectra.Classification.ALL_REAL
     assert rep.diagnostics["flagged"] == []
-    assert max(rep.diagnostics["grid_change"]) < 1e-4
+    assert max(rep.diagnostics["change"]) < 1e-4
 
 
 def test_monomial_diagnostics_shape():
     model = spectra.MonomialModel(N=2, g=1.0, half_width=9.0, n_grid=300)
     rep = spectra.monomial_spectrum(model, k=5)
-    assert len(rep.diagnostics["grid_change"]) == 5
-    assert rep.diagnostics["n_grid"] == [300, 599]
+    assert len(rep.diagnostics["change"]) == 5
+    assert rep.diagnostics["resolutions"] == [300, 599]
     for bad in (0, 25):
         with pytest.raises(ConfigurationError):
             spectra.monomial_spectrum(model, k=bad)
@@ -223,12 +219,16 @@ def test_grid_operator_an_ulp_off_pt_gets_the_complex_solve(monkeypatch):
 
 
 def test_monomial_report_compares_the_levels_both_grids_give(monkeypatch):
-    # the coarse grid completes a pair at k = 2 that the fine one does not
+    # the coarse grid completes a pair at k = 2 that the fine one does not:
+    # the report keeps it, flagged, as a Fock report does
     levels = {100: np.array([1.0, 2.0 - 1j, 2.0 + 1j]), 199: np.array([1.0, 2.5])}
     monkeypatch.setattr(spectra, "_grid_eigs", lambda V, h, n, k: levels[n])
     rep = spectra.monomial_spectrum(spectra.MonomialModel(N=3, n_grid=100), k=2)
-    assert rep.eigenvalues.size == 2
-    assert len(rep.diagnostics["grid_change"]) == 2
+    assert rep.eigenvalues.size == 3
+    assert rep.eigenvalues[1] == (16.0 * 2.5 - (2.0 - 1j)) / 15.0
+    assert rep.eigenvalues[2] == 2.0 + 1j
+    assert len(rep.diagnostics["change"]) == 2
+    assert rep.diagnostics["flagged"] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,7 @@ def test_reggeon_report_keeps_the_pair_at_k(monkeypatch):
     assert ev.size == 6 and ev[5] == ev[4].conj()
     assert abs(ev[4] - (11.4342 - 3.2192j)) < 1e-4
     assert rep.classification is spectra.Classification.CONJUGATE_PAIRS
-    assert len(rep.diagnostics["truncation_change"]) == 6
+    assert len(rep.diagnostics["change"]) == 6
 
 
 # at dim 12 the pair's partner comes from the dense solve that takes over
@@ -389,7 +389,7 @@ def test_fock_report_flags_a_level_only_one_truncation_gives():
     levels = {40: [1.0, 2.0 - 1j, 2.0 + 1j], 60: [1.0, 2.5]}
     rep = spectra.fock_report(lambda d: Fixed(levels[d]), 40, k=2)
     assert rep.eigenvalues.size == 3
-    assert len(rep.diagnostics["truncation_change"]) == 2
+    assert len(rep.diagnostics["change"]) == 2
     assert rep.diagnostics["flagged"] == [1, 2]
 
 
@@ -423,14 +423,14 @@ def test_swanson_broken_phase_never_stabilizes():
     assert abs(bilinear_levels(0.5, 1.0, 1.0, 1)[0].imag) > 0.5
     build = lambda d: spectra.swanson_model(0.5, 1.0, 1.0, d)
     rep = spectra.fock_report(build, 60, k=6)
-    assert min(rep.diagnostics["truncation_change"]) > 1e-3
+    assert min(rep.diagnostics["change"]) > 1e-3
 
 
 def test_truncation_diagnostics_flags_unstable_levels():
     build = lambda d: spectra.reggeon_single_site(1.0, 0.3, d)
     rep = spectra.fock_report(build, 60, k=10)
-    assert rep.diagnostics["dims"] == [60, 80]
-    change = np.array(rep.diagnostics["truncation_change"])
+    assert rep.diagnostics["resolutions"] == [60, 80]
+    change = np.array(rep.diagnostics["change"])
     # the report reuses its own dim-60 levels: bitwise the change of two solves
     assert np.array_equal(change, np.abs(build(80).eigenvalues(10)
                                          - build(60).eigenvalues(10)))
@@ -445,6 +445,53 @@ def test_fock_dim_validation():
         spectra.reggeon_single_site(1.0, 0.1, dim=3)
     with pytest.raises(ConfigurationError):
         spectra.swanson_model(1.0, 0.1, 0.1, dim=2)
+
+
+# ---------------------------------------------------------------------------
+# the shared two-resolution report against the replaced ones
+# ---------------------------------------------------------------------------
+
+# (N, half_width, n_grid): the CLI defaults, grid-eig's three jobs and the
+# six cells of scan-small's monomial sweep
+MONOMIAL_CASES = [(2, 8.0, 1200), (3, 8.0, 1200), (4, 8.0, 1200),
+                  (3, 8.0, 600), (4, 3.0, 1200), (2, 10.0, 800),
+                  *((N, 6.0, n) for N in (2, 3, 4) for n in (150, 250))]
+
+# (model, dim): the CLI defaults, scan-small's Fock and metric sweeps, and
+# two reports with flagged levels (criterion 7's reggeon, broken Swanson)
+FOCK_CASES = [("reggeon", 1.0, 1.0, None, 80), ("swanson", 1.0, 1.0, 0.0, 80),
+              *((m, 2.0, 0.3, 0.2, d) for m in ("reggeon", "swanson")
+                for d in (40, 80, 160, 240)),
+              *(("swanson", 2.0, g, 0.2, d) for g in (0.5, 0.3) for d in (24, 40)),
+              ("reggeon", 1.0, 0.3, None, 60), ("swanson", 0.5, 1.0, 1.0, 60)]
+
+
+def _assert_same_report(rep, ref, old_change_key):
+    assert np.array_equal(rep.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(rep.diagnostics["change"], ref.diagnostics[old_change_key])
+    assert rep.diagnostics["flagged"] == ref.diagnostics["flagged"]
+    assert rep.classification is ref.classification
+    assert rep.pairing == ref.pairing
+
+
+@pytest.mark.parametrize("N, half_width, n_grid", MONOMIAL_CASES)
+def test_monomial_report_is_the_replaced_report_bitwise(N, half_width, n_grid):
+    model = spectra.MonomialModel(N=N, half_width=half_width, n_grid=n_grid)
+    rep = spectra.monomial_spectrum(model, k=10)
+    _assert_same_report(rep, reference_monomial_report(model, k=10), "grid_change")
+    assert rep.diagnostics["resolutions"] == [n_grid, 2 * n_grid - 1]
+
+
+@pytest.mark.parametrize("model, delta, g, gtilde, dim", FOCK_CASES)
+def test_fock_report_is_the_replaced_report_bitwise(model, delta, g, gtilde, dim):
+    if model == "reggeon":
+        build = lambda d: spectra.reggeon_single_site(delta, g, d)
+    else:
+        build = lambda d: spectra.swanson_model(delta, g, gtilde, d)
+    rep = spectra.fock_report(build, dim, k=10)
+    _assert_same_report(rep, reference_fock_report(build, dim, k=10),
+                        "truncation_change")
+    assert rep.diagnostics["resolutions"] == [dim, dim + 20]
 
 
 # ---------------------------------------------------------------------------
