@@ -15,6 +15,7 @@ A dense Fock matrix is built only for the metric search.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,44 +259,44 @@ def _gauge_rotated(bands):
     return bands * np.array([1, -1j, -1, 1j])[np.arange(-w, w + 1) % 4, None]
 
 
-def annihilation(dim):
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+def fock_bands(dim, *terms):
+    """Full bands (see `gridops`) of the sum of c a+^p a^q over the terms
+    (c, p, q), refused unless `dim` is an integer of at least 4.
 
-
-def creation(dim):
-    return annihilation(dim).T.conj()
-
-
-def number_op(dim):
-    return np.diag(np.arange(dim)).astype(complex)
+    a+^p a^q |j+q> = (j+1)..(j+lo) sqrt((j+lo+1)..(j+hi)) |j+p>, lo and hi
+    the smaller and larger of p and q, gives each entry of band q - p as
+    (c x the integer part) x the root, over j = -lo..dim-1-hi, so the
+    entries the operator annihilates read c 0.
+    """
+    if not isinstance(dim, numbers.Integral) or dim < 4:
+        raise ConfigurationError(f"dim must be an integer of at least 4, got {dim!r}")
+    w = max(abs(q - p) for _, p, q in terms)
+    bands = np.zeros((2 * w + 1, dim), np.result_type(float, *(c for c, _, _ in terms)))
+    summed = {}
+    for c, p, q in terms:
+        lo, hi = sorted((p, q))
+        f = np.arange(-lo, dim - hi, dtype=float)[:, None] + np.arange(1, hi + 1)
+        entries = c * f[:, :lo].prod(1) * np.sqrt(f[:, lo:].prod(1))
+        # written, not added to the zeros of `bands`, so that -0.0 stays -0.0
+        summed[q - p] = summed[q - p] + entries if q - p in summed else entries
+    for d, entries in summed.items():
+        bands[w + d, :dim - abs(d)] = entries
+    return bands
 
 
 def reggeon_single_site(delta, g, dim):
-    """Cubic model Delta a+a + i g (a+ a a + a+ a+ a) in the number basis.
-
-    The nonzero couplings are <n|H|n+1> = <n+1|H|n> = i g n sqrt(n+1),
-    i.e. a complex-symmetric tridiagonal matrix.
-    """
+    """Cubic model Delta a+a + i g (a+ a a + a+ a+ a) in the number basis:
+    a complex-symmetric tridiagonal matrix."""
     require_finite(delta=delta, g=g)
-    if dim < 4:
-        raise ConfigurationError("dim must be at least 4")
-    n = np.arange(dim, dtype=float)
-    bands = np.zeros((3, dim), dtype=complex)
-    bands[0, :-1] = bands[2, :-1] = 1j * g * n[:-1] * np.sqrt(n[1:])
-    bands[1] = delta * n
-    return TruncatedFockOperator(bands)
+    return TruncatedFockOperator(fock_bands(
+        dim, (delta, 1, 1), (1j * g, 1, 2), (1j * g, 2, 1)))
 
 
 def swanson_model(delta, g, gtilde, dim):
     """Bilinear model Delta a+a + g a+a+ + gtilde a a (pentadiagonal)."""
     require_finite(delta=delta, g=g, gtilde=gtilde)
-    if dim < 4:
-        raise ConfigurationError("dim must be at least 4")
-    n = np.arange(dim, dtype=float)
-    s = np.sqrt(n[1:-1] * n[2:])
-    bands = np.zeros((5, dim))
-    bands[0, :-2], bands[2], bands[4, :-2] = g * s, delta * n, gtilde * s
-    return TruncatedFockOperator(bands)
+    return TruncatedFockOperator(fock_bands(
+        dim, (delta, 1, 1), (g, 2, 0), (gtilde, 0, 2)))
 
 
 def fock_report(build, dim, k=10):
@@ -319,9 +320,8 @@ def is_pt_symmetric_fock(op: TruncatedFockOperator):
 
 def metric_ansatz_basis(dim):
     """The Hermitian generators N, a^2 + a+^2 and i(a^2 - a+^2)."""
-    a, ad = annihilation(dim), creation(dim)
-    a2, ad2 = a @ a, ad @ ad
-    return [number_op(dim), a2 + ad2, 1j * (a2 - ad2)]
+    return [TruncatedFockOperator(fock_bands(dim, *terms)).matrix for terms in
+            [[(1, 1, 1)], [(1, 0, 2), (1, 2, 0)], [(1j, 0, 2), (-1j, 2, 0)]]]
 
 
 @dataclass

@@ -26,7 +26,9 @@ tableau and controller, the textbook simple-root tables for the
 derived simple roots, the first CSV writer (one formatted value at a
 time, row by row) for the column writer of the CLI artifacts, and the
 first grid and Fock spectrum reports, each with its own convergence
-rule, for the shared two-resolution one.
+rule, for the shared two-resolution one, and the hand-set reggeon and
+Swanson bands and the dense-product metric ansatz for the one
+number-basis builder.
 """
 
 from __future__ import annotations
@@ -148,15 +150,63 @@ def _apply_ad(state):
     return out
 
 
-def cubic_interaction_element(m, n):
-    """Exact <m| a+aa + a+a+a |n> via step-by-step ladder action."""
+def ladder_element(p, q, m, n):
+    """Exact <m| a+^p a^q |n> via step-by-step ladder action."""
     state = _Ket({n: 1})
-    t1 = _apply_ad(_apply_a(_apply_a(state)))
-    t2 = _apply_ad(_apply_ad(_apply_a(state)))
-    total = _Ket(t1)
-    for k, c in t2.items():
-        total[k] = total.get(k, 0) + c
-    return total.get(m, 0)
+    for _ in range(q):
+        state = _apply_a(state)
+    for _ in range(p):
+        state = _apply_ad(state)
+    return state.get(m, 0)
+
+
+def cubic_interaction_element(m, n):
+    """Exact <m| a+aa + a+a+a |n>."""
+    return ladder_element(1, 2, m, n) + ladder_element(2, 1, m, n)
+
+
+# ---------------------------------------------------------------------------
+# the number-basis matrices ptlab wrote before `spectra.fock_bands`
+# ---------------------------------------------------------------------------
+
+def reference_reggeon_bands(delta, g, dim):
+    """Bands of Delta a+a + i g (a+ a a + a+ a+ a), set by hand:
+    <n|H|n+1> = <n+1|H|n> = i g n sqrt(n+1)."""
+    n = np.arange(dim, dtype=float)
+    bands = np.zeros((3, dim), dtype=complex)
+    bands[0, :-1] = bands[2, :-1] = 1j * g * n[:-1] * np.sqrt(n[1:])
+    bands[1] = delta * n
+    return bands
+
+
+def reference_swanson_bands(delta, g, gtilde, dim):
+    """Bands of Delta a+a + g a+a+ + gtilde a a, set by hand with
+    sqrt(n (n+1))."""
+    n = np.arange(dim, dtype=float)
+    s = np.sqrt(n[1:-1] * n[2:])
+    bands = np.zeros((5, dim))
+    bands[0, :-2], bands[2], bands[4, :-2] = g * s, delta * n, gtilde * s
+    return bands
+
+
+def _annihilation(dim):
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+
+
+def _creation(dim):
+    return _annihilation(dim).T.conj()
+
+
+def _number_op(dim):
+    return np.diag(np.arange(dim)).astype(complex)
+
+
+def reference_metric_ansatz_basis(dim):
+    """N, a^2 + a+^2 and i(a^2 - a+^2) as dense products of the dense
+    truncated ladder matrices."""
+    a, ad = _annihilation(dim), _creation(dim)
+    a2, ad2 = a @ a, ad @ ad
+    return [_number_op(dim), a2 + ad2, 1j * (a2 - ad2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Grid and Fock-space spectra, classification and the metric search."""
 
+import itertools
 import json
 
 import numpy as np
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (biorthogonal_metric, bilinear_levels, cubic_ground_energy,
-                     cubic_interaction_element, dense_schrodinger,
+                     cubic_interaction_element, dense_schrodinger, ladder_element,
                      reference_fock_eigenvalues, reference_fock_report,
-                     reference_metric_normal_equations, reference_metric_objective,
-                     reference_metric_search, reference_monomial_report,
-                     swanson_metric)
+                     reference_metric_ansatz_basis, reference_metric_normal_equations,
+                     reference_metric_objective, reference_metric_search,
+                     reference_monomial_report, reference_reggeon_bands,
+                     reference_swanson_bands, swanson_metric)
 from ptlab import spectra
 from ptlab.errors import ConfigurationError
 from ptlab.gridops import pt_fold
@@ -235,13 +237,19 @@ def test_monomial_report_compares_the_levels_both_grids_give(monkeypatch):
 # truncated Fock-space models
 # ---------------------------------------------------------------------------
 
+def _fock_matrix(dim, *terms):
+    return spectra.TruncatedFockOperator(spectra.fock_bands(dim, *terms)).matrix
+
+
 def test_ladder_operators():
     dim = 12
-    a, ad = spectra.annihilation(dim), spectra.creation(dim)
+    a, ad = _fock_matrix(dim, (1.0, 0, 1)), _fock_matrix(dim, (1.0, 1, 0))
+    number = spectra.fock_bands(dim, (1.0, 1, 1))
+    assert number.tobytes() == np.arange(dim, dtype=float)[None].tobytes()
     comm = a @ ad - ad @ a
     # canonical commutator away from the truncation edge
     assert np.abs(comm[:-1, :-1] - np.eye(dim - 1)).max() < 1e-14
-    assert np.abs(ad @ a - spectra.number_op(dim)).max() < 1e-14
+    assert np.abs(ad @ a - np.diag(number[0])).max() < 1e-14
 
 
 def test_reggeon_elements_match_ladder_algebra():
@@ -252,6 +260,56 @@ def test_reggeon_elements_match_ladder_algebra():
         for n in range(dim):
             ref = 1j * g * float(sympy.N(cubic_interaction_element(m, n)))
             assert abs(op.matrix[m, n] - ref) < 1e-13
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("q", range(4))
+def test_fock_bands_match_ladder_algebra(p, q):
+    """Every a+^p a^q, p, q <= 3, holds the exact matrix elements up to
+    and including the truncation edge."""
+    import sympy
+    ref = np.array([[float(sympy.N(ladder_element(p, q, m, n), 30)) for n in range(12)]
+                    for m in range(12)])
+    for dim in range(4, 13):
+        R = ref[:dim, :dim]
+        # one rounding in the root and one in the product; zeros exact
+        assert (np.abs(_fock_matrix(dim, (1.0, p, q)) - R) <= 4e-16 * np.abs(R)).all()
+
+
+COUPLINGS = [0.37, -2.5, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]
+
+
+@pytest.mark.parametrize("dim", [4, 5, 9, 40, 257, 2000])
+def test_fock_models_keep_the_hand_set_bands(dim):
+    """The builder writes the reggeon and Swanson bands of the hand-set
+    constructions byte for byte: dtype and the sign of zeros count."""
+    for delta, g in itertools.product(COUPLINGS, COUPLINGS):
+        bands = spectra.reggeon_single_site(delta, g, dim).bands
+        assert bands.tobytes() == reference_reggeon_bands(delta, g, dim).tobytes()
+        assert bands.dtype == complex
+        for gtilde in COUPLINGS:
+            bands = spectra.swanson_model(delta, g, gtilde, dim).bands
+            ref = reference_swanson_bands(delta, g, gtilde, dim)
+            assert bands.tobytes() == ref.tobytes() and bands.dtype == float
+
+
+@pytest.mark.parametrize("dim", [4, 10, 40, 200])
+def test_metric_ansatz_matches_dense_products(dim):
+    """The builder's generators differ from the products of the dense
+    ladder matrices only by the rounding of sqrt(n) sqrt(n+1)."""
+    for B, ref in zip(spectra.metric_ansatz_basis(dim), reference_metric_ansatz_basis(dim)):
+        assert np.array_equal(B != 0, ref != 0)
+        nz = ref != 0
+        assert (np.abs(B[nz] - ref[nz]) <= 4e-16 * np.abs(ref[nz])).all()
+
+
+@pytest.mark.parametrize("dim", [24, 40, 60])
+def test_metric_ansatz_uses_the_elements_of_h(dim):
+    """eta is searched over the matrix elements of the H it Hermitizes:
+    a^2 + a+^2 is the Swanson matrix at Delta = 0, g = gtilde = 1."""
+    squeeze = spectra.metric_ansatz_basis(dim)[1]
+    H = spectra.swanson_model(0.0, 1.0, 1.0, dim).matrix
+    assert squeeze.dtype == H.dtype and squeeze.tobytes() == H.tobytes()
 
 
 def _diagonal_shifted(op, shift):
@@ -445,6 +503,15 @@ def test_fock_dim_validation():
         spectra.reggeon_single_site(1.0, 0.1, dim=3)
     with pytest.raises(ConfigurationError):
         spectra.swanson_model(1.0, 0.1, 0.1, dim=2)
+
+
+@pytest.mark.parametrize("dim", [40.5, 40.0, "40"])
+def test_fock_dim_must_be_an_integer(dim):
+    with pytest.raises(ConfigurationError, match="integer"):
+        spectra.reggeon_single_site(1.0, 0.1, dim=dim)
+    with pytest.raises(ConfigurationError, match="integer"):
+        spectra.swanson_model(1.0, 0.1, 0.1, dim=dim)
+    assert spectra.swanson_model(1.0, 0.1, 0.1, dim=np.int64(40)).bands.shape == (5, 40)
 
 
 # ---------------------------------------------------------------------------
