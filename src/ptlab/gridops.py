@@ -7,7 +7,8 @@ d = -w..w in its first n - |d| entries.  A grid Hamiltonian -d^2/dx^2 + V
 is complex-symmetric even for complex V; Dirichlet boundaries are
 realized by zero extension (stencil rows near the edge drop out-of-range
 points).  `eigenpairs_near` runs shift-invert Arnoldi (ARPACK) from a
-fixed start vector, so reruns are byte-identical.  `pt_fold` maps an
+fixed start vector, so reruns are byte-identical.  `band_dense` gives
+the dense matrix of the bands for the few dense uses.  `pt_fold` maps an
 operator with exact PT symmetry to real bands with the same eigenvalues.
 """
 
@@ -78,6 +79,18 @@ def band_matrix(bands):
     offsets = list(range(-w, w + 1))
     return sp.diags_array([bands[w + d, :n - abs(d)] for d in offsets],
                           offsets=offsets, shape=(n, n), format="csc")
+
+
+def band_dense(bands):
+    """The dense matrix of full bands, with +0.0 for a -0.0 entry, as in
+    scipy's `toarray()` of `band_matrix`."""
+    w, n = bands.shape[0] // 2, bands.shape[1]
+    out = np.zeros((n, n), dtype=bands.dtype)
+    for d in range(-w, w + 1):
+        i = np.arange(n - abs(d))
+        out[i + max(-d, 0), i + max(d, 0)] = bands[w + d, :n - abs(d)]
+    out += 0.0
+    return out
 
 
 def pt_fold(bands):

@@ -13,18 +13,20 @@ dispersion from the deformed Hamiltonian density, giving
 
 Both reduce to ordinary KdV at eps = 1.  Spatial derivatives are
 spectral: u, u_x, u_xx and u_xxx come together from one batched inverse
-FFT of (ik)^m u_hat, m = 0..3, and each flow's right-hand side is a
-pointwise formula in those four arrays.  Time stepping is the adaptive
+FFT of (ik)^m u_hat, m = 0..3.  Each flow is written once, in split
+form u_t = -u_xxx + N(u) where it has the linear dispersion -u_xxx
+(bender at every eps, fring at eps = 1) and u_t = N(u) otherwise, with
+N a pointwise formula in those arrays.  Time stepping is the adaptive
 DOP853 pair shared with the CMS engine (`_stepping`), on the Fourier
 coefficients; every right-hand-side evaluation costs one batched inverse
 and one forward FFT.  Where the flow has the stiff linear dispersion
--u_xxx (bender at every eps, fring at eps = 1), a global integrating
-factor carries it exactly (Kassam & Trefethen, SIAM J. Sci. Comput. 26,
-2005), and each evaluation transforms only u and u_x (m = 0, 1) for the
-nonlinear remainder; otherwise each transforms all four rows.  The
-stepped part obeys Orszag's 2/3 rule: it reads and changes only the
-modes |k| < (2/3) k_N, so no product wraps around the Nyquist mode k_N,
-and the modes above the cut keep their values in the stepped frame.
+-u_xxx, a global integrating factor carries it exactly (Kassam &
+Trefethen, SIAM J. Sci. Comput. 26, 2005), and each evaluation
+transforms only u and u_x (m = 0, 1) for N; otherwise each transforms
+all four rows.  The stepped part obeys Orszag's 2/3 rule: it reads and
+changes only the modes |k| < (2/3) k_N, so no product wraps around the
+Nyquist mode k_N, and the modes above the cut keep their values in the
+stepped frame.
 Fractional powers of (i u_x) use the principal branch, and evolution
 aborts with BranchError when the base crosses the cut for non-integer
 eps.
@@ -116,54 +118,54 @@ def _derivatives(u_hat, ik_powers):
     return np.fft.ifft(rows, out=rows)
 
 
-def _bender_nonlinear(u, ux, eps):
-    """i u (i u_x)^eps: the bender flow less its linear dispersion -u_xxx."""
-    return 1j * u * _ipow(1j * ux, eps, "bender nonlinearity")
+def _has_linear_dispersion(flow, eps):
+    """True when the flow contains the linear term -u_xxx.
 
-
-def _bender_terms(d, eps):
-    u, ux, _, uxxx = d
-    return _bender_nonlinear(u, ux, eps) - uxxx
-
-
-def _fring_nonlinear(u, ux, eps):
-    """-u u_x: the fring flow at eps = 1 less its linear dispersion -u_xxx.
-
-    Only at eps = 1 is there a linear dispersion to split off (see
-    `_has_linear_dispersion`); `eps` keeps the bender signature.
+    The `bender` deformation keeps it for every eps; the `fring`
+    deformation replaces it by -eps (i u_x)^(eps-1) u_xxx, which is
+    linear only at eps = 1.
     """
-    return -u * ux
+    return flow is Flow.BENDER or float(eps) == 1.0
 
 
-def _fring_terms(d, eps):
-    u, ux, uxx, uxxx = d
-    t1 = _fring_nonlinear(u, ux, eps)
-    if eps == 1:
+def _bender(d, eps):
+    """N(u) = i u (i u_x)^eps, on the rows u, u_x of `d`."""
+    return 1j * d[0] * _ipow(1j * d[1], eps, "bender nonlinearity")
+
+
+def _fring(d, eps):
+    """N(u) = -u u_x at eps = 1, on the rows u, u_x of `d`; otherwise the
+    whole flow, on the rows u, u_x, u_xx, u_xxx."""
+    t1 = -d[0] * d[1]
+    if _has_linear_dispersion(Flow.FRING, eps):
         # no curvature term; its factor (i u_x)^-1 is infinite where u_x = 0
-        return t1 - uxxx
-    base = 1j * ux
+        return t1
+    base = 1j * d[1]
     # one principal-branch power serves both terms: (i u_x)^(eps-1) is
     # (i u_x)^(eps-2) (i u_x) on the principal branch
     p = _ipow(base, eps - 2.0, "fring dispersion and curvature terms")
-    t2 = -1j * eps * (eps - 1.0) * p * uxx**2
-    t3 = -eps * (p * base) * uxxx
+    t2 = -1j * eps * (eps - 1.0) * p * d[2]**2
+    t3 = -eps * (p * base) * d[3]
     return t1 + t2 + t3
 
 
-# pointwise right-hand sides on the rows u, u_x, u_xx, u_xxx of `_derivatives`
-_TERMS = {Flow.BENDER: _bender_terms, Flow.FRING: _fring_terms}
-# what the integrating factor leaves of each flow, on the rows u, u_x
-_NONLINEAR = {Flow.BENDER: _bender_nonlinear, Flow.FRING: _fring_nonlinear}
+# N of each flow u_t = -u_xxx + N(u), the -u_xxx only where
+# `_has_linear_dispersion`, as a pointwise formula on `_derivatives` rows
+_NONLINEAR = {Flow.BENDER: _bender, Flow.FRING: _fring}
+
+
+def _rhs(flow, field, eps):
+    d = _derivatives(np.fft.fft(field.values), field._ik_powers)
+    nonlinear = _NONLINEAR[flow](d, eps)
+    return nonlinear - d[3] if _has_linear_dispersion(flow, eps) else nonlinear
 
 
 def rhs_bender(field: KdVField, eps):
-    d = _derivatives(np.fft.fft(field.values), field._ik_powers)
-    return _bender_terms(d, eps)
+    return _rhs(Flow.BENDER, field, eps)
 
 
 def rhs_fring(field: KdVField, eps):
-    d = _derivatives(np.fft.fft(field.values), field._ik_powers)
-    return _fring_terms(d, eps)
+    return _rhs(Flow.FRING, field, eps)
 
 
 _RHS = {Flow.BENDER: rhs_bender, Flow.FRING: rhs_fring}
@@ -254,16 +256,6 @@ class Evolution:
     completed: bool
 
 
-def _has_linear_dispersion(flow, eps):
-    """True when the flow contains the linear term -u_xxx.
-
-    The `bender` deformation keeps it for every eps; the `fring`
-    deformation replaces it by -eps (i u_x)^(eps-1) u_xxx, which is
-    linear only at eps = 1.
-    """
-    return flow is Flow.BENDER or float(eps) == 1.0
-
-
 def _n_steps(t_final, dt):
     """The number of record intervals dt in t_final, which it must divide."""
     require_finite(t_final=t_final, dt=dt)
@@ -291,11 +283,10 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     the solver's dense output; the solver picks its own steps.
 
     Every right-hand-side evaluation takes one batched inverse FFT of
-    rows (ik)^m u_hat, evaluates a pointwise formula on them and makes
-    one forward FFT.  When the flow carries the linear dispersion -u_xxx,
-    that part is integrated exactly in Fourier space and the solver
-    steps the remaining nonlinear part, which reads only the rows u and
-    u_x (m = 0, 1).  The frame is global: the stepped variable is
+    rows (ik)^m u_hat, evaluates the flow's N (`_NONLINEAR`) on them and
+    makes one forward FFT.  When the flow carries the linear dispersion
+    -u_xxx, that part is integrated exactly in Fourier space and the
+    solver steps N, which then reads only the rows u and u_x (m = 0, 1).  The frame is global: the stepped variable is
     v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 t) is computed
     afresh at each evaluation time, on the kept modes only (its inverse
     is its conjugate); records take it on all modes.  Flows
@@ -344,16 +335,16 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     # that is |j| < n/3 for the mode index j in FFT order
     j = np.arange(field.n)
     keep = 3 * np.minimum(j, field.n - j) < field.n
+    nonlinear = _NONLINEAR[flow]
 
     if use_if:
-        nonlinear = _NONLINEAR[flow]
         # the factor on the kept modes only, and 0 above the cut
         ik3_kept = ik3[keep]
         e = np.zeros(field.n, dtype=complex)
 
         def rhs(t, v):
             e[keep] = np.exp(ik3_kept * t)
-            return np.conj(e) * np.fft.fft(nonlinear(*_derivatives(e * v, uux), eps))
+            return np.conj(e) * np.fft.fft(nonlinear(_derivatives(e * v, uux), eps))
 
         # The factor leaves the phase exp(3i k k1 k2 t) on each product of
         # modes k1 + k2 = k; with k1 the first mode 2 pi / L and k near the
@@ -363,11 +354,10 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
         k_top = np.abs(field.k[keep]).max()
         max_step = 5.0 / (3.0 * k_top ** 2 * (2.0 * np.pi / field.L))
     else:
-        terms = _TERMS[flow]
         rows = keep * field._ik_powers
 
         def rhs(t, v):
-            return keep * np.fft.fft(terms(_derivatives(v, rows), eps))
+            return keep * np.fft.fft(nonlinear(_derivatives(v, rows), eps))
 
         max_step = np.inf
 
@@ -444,6 +434,18 @@ def pt_reflect(field: KdVField):
     return field.with_values(vals)
 
 
+def _end_state(field: KdVField, flow, eps, t_final, dt):
+    """The state `evolve` reaches at t_final, with the charges recorded
+    only at the two ends, as no defect check reads more."""
+    return evolve(field, flow, eps, t_final, dt, n_snapshots=2,
+                  monitor_stride=_n_steps(t_final, dt)).snapshots[-1]
+
+
+def _translated(field: KdVField, s):
+    """u(x - s) by the Fourier shift theorem."""
+    return np.fft.ifft(np.exp(-1j * field.k * s) * np.fft.fft(field.values))
+
+
 def pt_covariance_defect(field: KdVField, flow, eps, t_final, dt):
     """Covariance of the flow under x -> -x, t -> -t, conjugation.
 
@@ -451,14 +453,9 @@ def pt_covariance_defect(field: KdVField, flow, eps, t_final, dt):
     reversed flow (dt -> -dt) by the same amount; if the flow commutes
     with the antilinear symmetry the reflected forward state equals the
     backward state of the reflection.  Returns the max pointwise defect.
-    Only the end states are read, so the charges are recorded only at
-    the two ends.
     """
-    last = _n_steps(t_final, dt)
-    fwd = evolve(field, flow, eps, t_final, dt, n_snapshots=2,
-                 monitor_stride=last).snapshots[-1]
-    back = evolve(pt_reflect(field), flow, eps, -t_final, -dt, n_snapshots=2,
-                  monitor_stride=last).snapshots[-1]
+    fwd = _end_state(field, flow, eps, t_final, dt)
+    back = _end_state(pt_reflect(field), flow, eps, -t_final, -dt)
     return float(np.abs(pt_reflect(fwd).values - back.values).max())
 
 
@@ -468,18 +465,11 @@ def galilean_defect(field: KdVField, flow, eps, v, t_final, dt):
     For the `fring` flow the boost maps solutions to solutions for every
     eps; for the `bender` flow it holds only at eps = 1.  The shifted
     comparison uses Fourier interpolation, so the defect is spectrally
-    accurate.  Only the end states are read, so the charges are recorded
-    only at the two ends.
+    accurate.
     """
-    last = _n_steps(t_final, dt)
-    ev_plain = evolve(field, flow, eps, t_final, dt, n_snapshots=2, monitor_stride=last)
-    ev_boost = evolve(field.with_values(field.values + v), flow, eps, t_final, dt,
-                      n_snapshots=2, monitor_stride=last)
-    u_end = ev_plain.snapshots[-1]
-    # translate by v*t with the Fourier shift theorem, then add v
-    shift = np.exp(-1j * u_end.k * v * t_final)
-    translated = np.fft.ifft(shift * np.fft.fft(u_end.values)) + v
-    return float(np.abs(ev_boost.snapshots[-1].values - translated).max())
+    plain = _end_state(field, flow, eps, t_final, dt)
+    boosted = _end_state(field.with_values(field.values + v), flow, eps, t_final, dt)
+    return float(np.abs(boosted.values - (_translated(plain, v * t_final) + v)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +517,9 @@ def traveling_wave(eps, c, L=40.0, n=512):
 
 def traveling_wave_defect(report: TravelingWaveReport, dt=1e-3):
     """Evolve the profile by the `fring` flow to t = 0.5 and compare with
-    its rigid translation by 0.5 c.
-
-    Only the end state is read, so nothing is recorded between the ends
-    and the solver's dense output is never evaluated.
-    """
+    its rigid translation by 0.5 c."""
     if not report.exists or report.profile is None:
         raise ConfigurationError("no profile to verify")
     f = report.profile
-    ev = evolve(f, Flow.FRING, report.eps, 0.5, dt, n_snapshots=2,
-                monitor_stride=_n_steps(0.5, dt))
-    shift = np.exp(-1j * f.k * report.c * 0.5)
-    translated = np.fft.ifft(shift * np.fft.fft(f.values))
-    return float(np.abs(ev.snapshots[-1].values - translated).max())
+    end = _end_state(f, Flow.FRING, report.eps, 0.5, dt)
+    return float(np.abs(end.values - _translated(f, report.c * 0.5)).max())

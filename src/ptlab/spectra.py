@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, require_finite
-from .gridops import (band_matrix, eigenpairs_near, pt_fold, real_if_exact,
+from .gridops import (band_dense, eigenpairs_near, pt_fold, real_if_exact,
                       schrodinger_bands)
 
 
@@ -194,7 +194,7 @@ class TruncatedFockOperator:
     @property
     def matrix(self):
         """The dense matrix, for the metric search and its checks."""
-        return band_matrix(self.bands).toarray()
+        return band_dense(self.bands)
 
     def eigenvalues(self, k):
         """The levels `_smallest_levels` gives for 1 <= k <= dim.
@@ -245,7 +245,7 @@ def _smallest_levels(bands, k, sigma):
         if np.array_equal(np.sort_complex(top), np.sort_complex(top.conj())):
             return top
         m += 1
-    ev = _by_modulus(sla.eigvals(band_matrix(bands).toarray()))
+    ev = _by_modulus(sla.eigvals(band_dense(bands)))
     return ev[:k + (real and ev[k - 1].imag < 0)]
 
 
@@ -389,10 +389,11 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
     Methods for Non-Linear Least Squares Problems, 2004, sec. 3.2), whose
     decrease is capped at 10x per step.  The damped system, one row per
     generator, is solved from the eigenpairs of the scaled J^T J, which stay
-    defined where J^T J is singular to rounding.  The loop stops at
-    "floor" once a step predicts a reduction of r^2 below `f_floor`
-    (rounding, not the model, would decide the step), at "stall" once a
-    step above `f_target` gains less than 0.1% of r^2, or at "cap".
+    defined where J^T J is singular to rounding.  The loop stops once a
+    step predicts a reduction of r^2 below `f_floor` (rounding, not the
+    model, would decide the step), at "floor" with r^2 at most `f_target`
+    and at "stall" above it; at "stall" once a step above `f_target`
+    gains less than 0.1% of r^2; or at "cap".
     Returns (x, r^2, evaluations, stop).
     """
     f, JtJ, g = _metric_normal_equations(x, H, basis)
@@ -410,7 +411,7 @@ def _levenberg_marquardt(x, H, basis, f_floor, f_target):
         step = sc * y
         pred = mu * (y @ y) - step @ g
         if pred <= f_floor:
-            return x, f, nfev, "floor"
+            return x, f, nfev, "floor" if f <= f_target else "stall"
         x_new = x + step
         # a coefficient below eps of the largest changes A by less than its
         # rounding; zeroing it keeps subnormal numbers (5-10x slower

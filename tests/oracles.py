@@ -8,7 +8,8 @@ symbolic variational calculus for the deformed KdV right-hand side,
 dense finite-difference matrices (solved by LAPACK in the tests) for the
 banded grid operators, the dense gauge-rotated eigensolve for the banded
 shift-invert one of the truncated Fock matrices, the original KdV stepper (one transform pair per
-derivative, a validated field per stage) for the batched one, the
+derivative, a validated field per stage) for the batched one, each KdV
+flow's formula written whole for its split form, the
 matrix-exponential metric objective and normal equations (`expm` and
 `expm_frechet` per generator) for the eigendecomposition ones, the
 L-BFGS-B metric search for the Levenberg-Marquardt one, the biorthogonal
@@ -331,6 +332,29 @@ def dense_intertwining_residual(pair, probes, conjugate=False):
 # ---------------------------------------------------------------------------
 # reference KdV stepper
 # ---------------------------------------------------------------------------
+
+def reference_kdv_terms(flow, d, eps):
+    """The flows' right-hand sides as first written in `kdv`: each flow's
+    formula whole, the dispersion -u_xxx included, on the rows u, u_x,
+    u_xx, u_xxx of `kdv._derivatives`."""
+    from ptlab import kdv
+
+    if kdv.Flow(flow) is kdv.Flow.BENDER:
+        u, ux, _, uxxx = d
+        return 1j * u * kdv._ipow(1j * ux, eps, "bender nonlinearity") - uxxx
+    u, ux, uxx, uxxx = d
+    t1 = -u * ux
+    if eps == 1:
+        # no curvature term; its factor (i u_x)^-1 is infinite where u_x = 0
+        return t1 - uxxx
+    base = 1j * ux
+    # one principal-branch power serves both terms: (i u_x)^(eps-1) is
+    # (i u_x)^(eps-2) (i u_x) on the principal branch
+    p = kdv._ipow(base, eps - 2.0, "fring dispersion and curvature terms")
+    t2 = -1j * eps * (eps - 1.0) * p * uxx**2
+    t3 = -eps * (p * base) * uxxx
+    return t1 + t2 + t3
+
 
 def _reference_rhs(kdv, flow, field, eps):
     """The flows' right-hand sides with one transform pair per derivative."""

@@ -1,12 +1,12 @@
-"""Full-band storage: the matrix-vector product, the Schrodinger bands and
-the PT fold against their dense matrices."""
+"""Full-band storage: the matrix-vector product, the dense view, the
+Schrodinger bands and the PT fold against their dense matrices."""
 
 import numpy as np
 import pytest
 
 from oracles import dense_schrodinger, reference_pt_fold
 from ptlab import spectra
-from ptlab.gridops import band_matrix, band_matvec, pt_fold, schrodinger_bands
+from ptlab.gridops import band_dense, band_matrix, band_matvec, pt_fold, schrodinger_bands
 
 
 # a complex potential on a 200-point grid
@@ -31,6 +31,30 @@ def test_band_matvec_is_the_matrix_product(name):
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ref = band_matrix(bands) @ u
     assert np.abs(band_matvec(bands, u) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# signed zeros and extreme magnitudes, so that every sign of zero and
+# every exponent passes through the dense view
+COUPLINGS = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (1e300, -1e-300, 1e-300),
+             (-1e-300, 1e300, -1e300), (1.0, 0.3, -0.2)]
+
+
+@pytest.mark.parametrize("dim", [4, 5, 24, 40, 81, 200])
+def test_band_dense_is_the_sparse_matrix_to_the_byte(dim):
+    # a -0.0 on a band reads +0.0 in scipy's CSC-to-dense sum, and must in
+    # the dense view too
+    cases = [spectra.fock_bands(dim, *terms) for terms in
+             [[(1, 1, 1)], [(1, 0, 2), (1, 2, 0)], [(1j, 0, 2), (-1j, 2, 0)]]]
+    for delta, g, gtilde in COUPLINGS:
+        cases += [spectra.reggeon_single_site(delta, g, dim).bands,
+                  spectra.swanson_model(delta, g, gtilde, dim).bands]
+    grid = schrodinger_bands(V[:dim], DX)
+    # the fold's half-width 5 needs a grid of more than 10 points
+    cases += [grid, pt_fold(grid)] if dim > 10 else [grid]
+    for bands in cases:
+        ref = band_matrix(bands).toarray()
+        dense = band_dense(bands)
+        assert dense.dtype == ref.dtype and dense.tobytes() == ref.tobytes()
 
 
 def test_schrodinger_bands_are_the_dense_operator():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fring_rhs_symbolic_defects, reference_kdv_evolve
+from oracles import fring_rhs_symbolic_defects, reference_kdv_evolve, reference_kdv_terms
 from ptlab import _stepping, kdv
 from ptlab.errors import BlowUpError, BranchError, ConfigurationError
 
@@ -54,13 +54,27 @@ def test_flows_coincide_with_kdv_at_eps_one():
 
 @pytest.mark.parametrize("flow", list(kdv.Flow), ids=lambda f: f.value)
 def test_rhs_is_stepped_nonlinear_part_less_uxxx_at_eps_one(flow):
-    # the integrating-factor stages step only the nonlinear part; the
+    # the integrating-factor stages step N on the rows u, u_x only; the
     # factor carries -u_xxx
     f = kdv.KdVField.from_callable(
         lambda x: 0.7 * np.cos(x) + 0.2 * np.sin(2 * x), 2 * np.pi, 96)
     full = kdv._RHS[flow](f, 1.0)
-    split = kdv._NONLINEAR[flow](f.values, f.deriv(1), 1.0) - f.deriv(3)
+    split = kdv._NONLINEAR[flow](np.array([f.values, f.deriv(1)]), 1.0) - f.deriv(3)
     assert np.abs(full - split).max() <= 1e-14 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0, 3.0, 3.5])
+@pytest.mark.parametrize("flow", list(kdv.Flow), ids=lambda f: f.value)
+def test_rhs_matches_whole_formula_oracle(flow, eps):
+    # N(u), less u_xxx where the flow has the linear dispersion, gives the
+    # bits of each flow's formula written whole.  Both fields keep i u_x
+    # off the branch cut: where Re u_x = 0, offset_pt_field has i u_x on
+    # the negative real axis, and its conjugate on the positive one
+    pt = offset_pt_field()
+    for f in (offset_cosine_field(), pt.with_values(np.conj(pt.values))):
+        d = kdv._derivatives(np.fft.fft(f.values), f._ik_powers)
+        ref = reference_kdv_terms(flow, d, eps)
+        assert kdv._RHS[flow](f, eps).tobytes() == ref.tobytes()
 
 
 def test_constant_state_is_stationary_at_eps_one():
@@ -260,7 +274,7 @@ def test_evaluations_stay_bounded_at_large_n(monkeypatch):
     # the 2/3 rule keeps products from wrapping around the Nyquist mode;
     # without it n = 1024 took 145 781 evaluations to t = 0.5.  RK4 at the
     # record step dt made 4 per dt, 2000 in all.
-    evals = count_evaluations(monkeypatch, "fring", 1.0)
+    evals = count_evaluations(monkeypatch, "fring")
     counts = {}
     for n in (256, 1024):
         evals.clear()
@@ -269,17 +283,16 @@ def test_evaluations_stay_bounded_at_large_n(monkeypatch):
     assert counts[1024] <= min(1.5 * counts[256], 2000)
 
 
-def count_evaluations(monkeypatch, flow, eps):
-    """Count calls of the pointwise formula `evolve` steps for (flow, eps)."""
+def count_evaluations(monkeypatch, flow):
+    """Count calls of the flow's N, which `evolve` steps in either frame."""
     flow = kdv.Flow(flow)
-    table = kdv._NONLINEAR if kdv._has_linear_dispersion(flow, eps) else kdv._TERMS
-    calls, formula = [], table[flow]
+    calls, formula = [], kdv._NONLINEAR[flow]
 
     def counted(*args):
         calls.append(1)
         return formula(*args)
 
-    monkeypatch.setitem(table, flow, counted)
+    monkeypatch.setitem(kdv._NONLINEAR, flow, counted)
     return calls
 
 
@@ -299,7 +312,7 @@ def test_transform_count_per_evaluation(monkeypatch, eps):
 
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    evals = count_evaluations(monkeypatch, "fring", eps)
+    evals = count_evaluations(monkeypatch, "fring")
     n_steps = 20
     kdv.evolve(offset_cosine_field(), "fring", eps, n_steps * 1e-3, 1e-3,
                n_snapshots=2, monitor_stride=10 * n_steps)
@@ -322,7 +335,7 @@ def test_integrating_factor_stage_rows(monkeypatch, flow, eps, rows):
         return ifft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", recording)
-    evals = count_evaluations(monkeypatch, flow, eps)
+    evals = count_evaluations(monkeypatch, flow)
     kdv.evolve(offset_pt_field(), flow, eps, 5e-3, 5e-4, n_snapshots=2,
                monitor_stride=1)
     # one transform of `rows` rows per evaluation

@@ -751,6 +751,15 @@ def test_unconverged_metric_search_claims_no_metric():
     assert res.stop == "stall" and res.nfev < spectra.METRIC_MAX_NFEV
 
 
+def test_metric_search_without_a_metric_stalls():
+    # the CLI's Swanson default, g~ = 0, has no metric: the search ends
+    # where no step can move r^2, with r about 121, far above the
+    # tolerance, so rounding is not what stopped it
+    res = spectra.metric_search(spectra.swanson_model(1.0, 1.0, 0.0, 80))
+    assert not res.converged and not res.positive and res.residual > 1.0
+    assert res.stop == "stall" and res.nfev < spectra.METRIC_MAX_NFEV
+
+
 def test_metric_search_reports_cap(monkeypatch):
     monkeypatch.setattr(spectra, "METRIC_MAX_NFEV", 5)
     res = spectra.metric_search(spectra.swanson_model(2.0, 0.3, 0.2, 24))
