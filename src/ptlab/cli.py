@@ -352,8 +352,6 @@ def run_cms(params, seed, output_dir):
     system = cms.CMSSystem(root_system=rs,
                            potential=cms.PotentialKind(params["potential"]),
                            couplings=couplings, q=zero + 1.0, p=zero)
-    # Lax pairs exist only for LAX_FAMILIES; `cms` refuses the others by name
-    lax = rs.family in cms.LAX_FAMILIES and params["check"] != "mu-identity"
 
     if params["check"] != "none":
         res = []
@@ -375,6 +373,8 @@ def run_cms(params, seed, output_dir):
     traj = cms.integrate_trajectory(system, params["dt"], params["steps"],
                                     record_every=params["record_every"])
     d = rs.dim
+    # Lax pairs exist only for LAX_FAMILIES; `cms` refuses the others by name
+    lax = rs.family in cms.LAX_FAMILIES
     header = (["t"]
               + [f"{nm}_{i+1}_{part}" for nm in ("q", "p")
                  for i in range(d) for part in ("re", "im")]

@@ -35,12 +35,7 @@ class PotentialKind(enum.Enum):
     HYPERBOLIC = "hyperbolic"
 
     def f(self, x):
-        x = np.asarray(x)
-        if self is PotentialKind.RATIONAL:
-            return 1.0 / x
-        if self is PotentialKind.TRIGONOMETRIC:
-            return 1.0 / np.sin(x)
-        return 1.0 / np.sinh(x)
+        return self.f_fprime(x)[0]
 
     def f_fprime(self, x):
         """(f(x), f'(x)) from one sin or sinh (and cos or cosh) evaluation."""

@@ -24,6 +24,11 @@ class NodeError(PTLabError):
     """Wavefunction vanishes inside the working window."""
 
 
+class EigensolverError(PTLabError):
+    """The sparse eigensolver failed: a shift that is exactly an
+    eigenvalue (singular factor), or ARPACK not converging."""
+
+
 class BranchError(PTLabError):
     """Fractional power argument crossed the principal-branch cut.
 

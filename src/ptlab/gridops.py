@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EigensolverError
 
 # central stencils, (offset: coefficient); divide by dx**order
 _C1_ACC4 = {-2: 1 / 12, -1: -2 / 3, 1: 2 / 3, 2: -1 / 12}
@@ -52,7 +52,8 @@ def real_if_exact(a):
 
 
 def schrodinger_bands(V, dx):
-    """Full bands of -d^2/dx^2 + V (real when V is) at 4th order, Dirichlet boundaries."""
+    """Full bands of -d^2/dx^2 + V (real when V is) at 4th order, Dirichlet
+    boundaries; ConfigurationError where an entry is not finite."""
     V = real_if_exact(np.asarray(V))
     n = V.size
     w = max(_C2_ACC4)
@@ -60,6 +61,14 @@ def schrodinger_bands(V, dx):
     bands[w] = V - _C2_ACC4[0] / dx**2
     for d in range(1, w + 1):
         bands[w - d, :n - d] = bands[w + d, :n - d] = -_C2_ACC4[d] / dx**2
+    return require_finite_bands(bands)
+
+
+def require_finite_bands(bands):
+    """`bands`, refused with ConfigurationError unless every entry is finite."""
+    if not np.isfinite(bands).all():
+        raise ConfigurationError("operator entries must be finite; the potential "
+                                 "or a coupling overflows")
     return bands
 
 
@@ -137,11 +146,18 @@ def eigenpairs_near(bands, k, sigma, vectors=False):
     """The k eigenvalues nearest sigma (unordered) of the matrix with full
     bands `bands`, and with `vectors` the eigenvectors as columns:
     shift-invert Arnoldi on the sparse LU of H - sigma.  ARPACK needs
-    1 <= k < n - 1."""
+    1 <= k < n - 1.  Raises EigensolverError when sigma is exactly an
+    eigenvalue (the factor is singular) or ARPACK fails."""
     n = bands.shape[1]
     if not 1 <= k < n - 1:
         raise ConfigurationError(f"k must satisfy 1 <= k < n - 1 = {n - 1}, got {k}")
     # no parity: an even start vector reaches the odd levels of a
     # symmetric potential only through roundoff
     v0 = np.random.default_rng(0).standard_normal(n)
-    return spla.eigs(band_matrix(bands), k=k, sigma=sigma, v0=v0, return_eigenvectors=vectors)
+    try:
+        return spla.eigs(band_matrix(bands), k=k, sigma=sigma, v0=v0,
+                         return_eigenvectors=vectors)
+    except RuntimeError as exc:
+        # SuperLU's exactly singular factor, or ARPACK (ArpackError is a RuntimeError)
+        raise EigensolverError(f"eigensolver failed for k = {k} eigenvalues near "
+                               f"sigma = {sigma}: {exc}") from exc

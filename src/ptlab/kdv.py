@@ -19,14 +19,15 @@ form u_t = -u_xxx + N(u) where it has the linear dispersion -u_xxx
 N a pointwise formula in those arrays.  Time stepping is the adaptive
 DOP853 pair shared with the CMS engine (`_stepping`), on the Fourier
 coefficients; every right-hand-side evaluation costs one batched inverse
-and one forward FFT.  Where the flow has the stiff linear dispersion
--u_xxx, a global integrating factor carries it exactly (Kassam &
-Trefethen, SIAM J. Sci. Comput. 26, 2005), and each evaluation
-transforms only u and u_x (m = 0, 1) for N; otherwise each transforms
-all four rows.  The stepped part obeys Orszag's 2/3 rule: it reads and
-changes only the modes |k| < (2/3) k_N, so no product wraps around the
-Nyquist mode k_N, and the modes above the cut keep their values in the
-stepped frame.
+and one forward FFT.  Every flow is stepped in one integrating-factor
+frame for u_t = D u + N(u) (Kassam & Trefethen, SIAM J. Sci. Comput. 26,
+2005), with the linear symbol D = i k^3 where the flow has the stiff
+dispersion -u_xxx, which the factor then carries exactly, and D = 0
+otherwise; N reads u and u_x (m = 0, 1) in the first case and all four
+rows in the second.  The stepped part obeys Orszag's 2/3 rule: it reads
+and changes only the modes |k| < (2/3) k_N, so no product wraps around
+the Nyquist mode k_N, and the modes above the cut keep their values in
+the stepped frame.
 Fractional powers of (i u_x) use the principal branch, and evolution
 aborts with BranchError when the base crosses the cut for non-integer
 eps.
@@ -64,8 +65,11 @@ class KdVField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        require_finite(L=self.L)
         if not self.L > 0:
             raise ConfigurationError("period L must be positive")
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError("field samples must be finite")
         if self.values.size < 16:
             raise ConfigurationError("need at least 16 samples")
 
@@ -96,8 +100,9 @@ class KdVField:
     def from_callable(cls, f, L, n):
         if n < 16:
             raise ConfigurationError("need at least 16 samples")
-        x = np.linspace(0.0, L, n, endpoint=False)
-        return cls(L=L, values=np.asarray(f(x), dtype=complex))
+        # the period is checked before f sees the grid
+        grid = cls(L=L, values=np.zeros(n))
+        return grid.with_values(f(grid.x))
 
 
 def _ipow(base, p, where):
@@ -284,19 +289,19 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
 
     Every right-hand-side evaluation takes one batched inverse FFT of
     rows (ik)^m u_hat, evaluates the flow's N (`_NONLINEAR`) on them and
-    makes one forward FFT.  When the flow carries the linear dispersion
-    -u_xxx, that part is integrated exactly in Fourier space and the
-    solver steps N, which then reads only the rows u and u_x (m = 0, 1).  The frame is global: the stepped variable is
-    v = exp(-i k^3 t) u_hat, and the factor exp(i k^3 t) is computed
-    afresh at each evaluation time, on the kept modes only (its inverse
-    is its conjugate); records take it on all modes.  Flows
-    whose dispersion is itself nonlinear are stepped with no factor at
-    all, on the rows u, u_x, u_xx and u_xxx (m = 0..3).  In either frame
-    the rows and the result keep only the modes |k| < (2/3) k_N (the 2/3
-    rule), so the modes above stay as they are in the stepped variable;
-    in the integrating-factor frame each step is also bounded so that
-    the fastest phase the factor leaves, 3 k_top^2 (2 pi / L) at the top
-    kept mode k_top, turns by at most 5 a step.
+    makes one forward FFT.  Every flow is stepped in one frame,
+    v = exp(-D t) u_hat for its linear symbol D.  Beside the linear
+    dispersion -u_xxx, D is i k^3: that part is integrated exactly, N
+    reads only the rows u and u_x (m = 0, 1), and the factor exp(i k^3 t)
+    is computed afresh at each evaluation time, on the kept modes only
+    (its inverse is its conjugate); records take it on all modes.  A flow
+    whose dispersion is itself nonlinear has D = 0, no factor to compute,
+    and N reads the rows u .. u_xxx (m = 0..3).  The rows and the result
+    keep only the modes |k| < (2/3) k_N (the 2/3 rule), so the modes
+    above stay as they are in the stepped variable.  Where D is i k^3,
+    each step is also bounded so that the fastest phase the factor
+    leaves, 3 k_top^2 (2 pi / L) at the top kept mode k_top, turns by at
+    most 5 a step.
 
     Records come in one batch per accepted step: the m record times the
     step covers are read from one vectorised evaluation of its dense
@@ -328,41 +333,34 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
     stops = sorted(snap_at | mon_at, key=abs)
 
     use_if = _has_linear_dispersion(flow, eps)
-    uux = field._ik_powers[:2]          # the rows u, u_x
     # u_t = -u_xxx evolves modes as exp(+i k^3 t)
     ik3 = 1j * field.k ** 3
     # Orszag's 2/3 rule: the stepped part reads and writes only |k| < (2/3) k_N,
     # that is |j| < n/3 for the mode index j in FFT order
     j = np.arange(field.n)
     keep = 3 * np.minimum(j, field.n - j) < field.n
+    # N reads the rows u, u_x beside the linear dispersion, and u .. u_xxx without
+    rows = keep * field._ik_powers[:2 if use_if else 4]
+    # the factor on the kept modes, 0 above the cut; 1 where there is no phase
+    e = keep.astype(complex)
+    ik3_kept = ik3[keep]
     nonlinear = _NONLINEAR[flow]
 
-    if use_if:
-        # the factor on the kept modes only, and 0 above the cut
-        ik3_kept = ik3[keep]
-        e = np.zeros(field.n, dtype=complex)
-
-        def rhs(t, v):
+    def rhs(t, v):
+        if use_if:
             e[keep] = np.exp(ik3_kept * t)
-            return np.conj(e) * np.fft.fft(nonlinear(_derivatives(e * v, uux), eps))
+        return np.conj(e) * np.fft.fft(nonlinear(_derivatives(e * v, rows), eps))
 
-        # The factor leaves the phase exp(3i k k1 k2 t) on each product of
-        # modes k1 + k2 = k; with k1 the first mode 2 pi / L and k near the
-        # top kept mode k_top, it turns at 3 k_top^2 (2 pi / L).  A step
-        # turning it by more than 5 (DOP853 is stable on the imaginary axis
-        # up to 5.8) lets rounding in the top modes grow.
-        k_top = np.abs(field.k[keep]).max()
-        max_step = 5.0 / (3.0 * k_top ** 2 * (2.0 * np.pi / field.L))
-    else:
-        rows = keep * field._ik_powers
-
-        def rhs(t, v):
-            return keep * np.fft.fft(nonlinear(_derivatives(v, rows), eps))
-
-        max_step = np.inf
+    # The factor leaves the phase exp(3i k k1 k2 t) on each product of modes
+    # k1 + k2 = k; with k1 the first mode 2 pi / L and k near the top kept
+    # mode k_top, it turns at 3 k_top^2 (2 pi / L).  A step turning it by
+    # more than 5 (DOP853 is stable on the imaginary axis up to 5.8) lets
+    # rounding in the top modes grow.
+    k_top = np.abs(field.k[keep]).max()
+    max_step = 5.0 / (3.0 * k_top ** 2 * (2.0 * np.pi / field.L)) if use_if else np.inf
 
     v0 = np.fft.fft(field.values)
-    # |e| = 1, so the L2 norm of v is that of u_hat in either frame
+    # the factor is a phase, so the L2 norm of v is that of u_hat
     norm_bound = _BLOWUP_FACTOR * np.linalg.norm(v0)
 
     def check(t, v):
@@ -377,7 +375,7 @@ def evolve(field: KdVField, flow, eps, t_final, dt, n_snapshots=11,
         FFT."""
         if use_if:
             vs = np.exp(ik3 * ts[:, None]) * vs
-        return _derivatives(vs[:, None], uux)
+        return _derivatives(vs[:, None], field._ik_powers[:2])
 
     mon = ChargeMonitor()
     snaps = [field]                     # the start is its own snapshot

@@ -23,7 +23,7 @@ import scipy.linalg as sla
 
 from .errors import ConfigurationError, require_finite
 from .gridops import (band_dense, eigenpairs_near, pt_fold, real_if_exact,
-                      schrodinger_bands)
+                      require_finite_bands, schrodinger_bands)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,10 @@ def _grid_bands(potential, half_width, n):
     # which keeps full 4th-order accuracy for states that reach the wall.
     z = np.arange(1 - n, n, 2) * (half_width / (n + 1))
     dz = 2.0 * half_width / (n + 1)
-    bands = schrodinger_bands(potential(z), dz)
+    # an overflowing potential is refused by `schrodinger_bands`
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = potential(z)
+    bands = schrodinger_bands(V, dz)
     bands[2, [0, -1]] -= (1 / 12) / dz**2     # row 2: the diagonal
     return bands
 
@@ -261,7 +264,8 @@ def _gauge_rotated(bands):
 
 def fock_bands(dim, *terms):
     """Full bands (see `gridops`) of the sum of c a+^p a^q over the terms
-    (c, p, q), refused unless `dim` is an integer of at least 4.
+    (c, p, q), refused unless `dim` is an integer of at least 4 and every
+    entry is finite.
 
     a+^p a^q |j+q> = (j+1)..(j+lo) sqrt((j+lo+1)..(j+hi)) |j+p>, lo and hi
     the smaller and larger of p and q, gives each entry of band q - p as
@@ -276,12 +280,13 @@ def fock_bands(dim, *terms):
     for c, p, q in terms:
         lo, hi = sorted((p, q))
         f = np.arange(-lo, dim - hi, dtype=float)[:, None] + np.arange(1, hi + 1)
-        entries = c * f[:, :lo].prod(1) * np.sqrt(f[:, lo:].prod(1))
-        # written, not added to the zeros of `bands`, so that -0.0 stays -0.0
-        summed[q - p] = summed[q - p] + entries if q - p in summed else entries
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            entries = c * f[:, :lo].prod(1) * np.sqrt(f[:, lo:].prod(1))
+            # written, not added to the zeros of `bands`, so that -0.0 stays -0.0
+            summed[q - p] = summed[q - p] + entries if q - p in summed else entries
     for d, entries in summed.items():
         bands[w + d, :dim - abs(d)] = entries
-    return bands
+    return require_finite_bands(bands)
 
 
 def reggeon_single_site(delta, g, dim):

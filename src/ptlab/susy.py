@@ -170,8 +170,9 @@ def verify_intertwining(pair: SuperPartnerPair, conjugate=False):
 
     The defect operator is applied to a fixed family of smooth probe
     states (raw matrix norms are dominated by grid-scale frequencies the
-    stencils do not resolve) and normalized by the action of H_- on the
-    probe, so the value is grid-independent up to discretization error.
+    stencils do not resolve) and normalized by the action of H_- - E_m on
+    the probe, so the value is grid-independent up to discretization
+    error and, as E_m cancels from the defect, independent of E_m.
     Q and H act on the probes directly (`derivative`, `band_matvec`).
     The `EDGE_ROWS` boundary rows at each end are excluded.  The
     operators are 4th order, and so is the convergence of the residual
@@ -188,7 +189,8 @@ def verify_intertwining(pair: SuperPartnerPair, conjugate=False):
     worst = 0.0
     for u in _probe_states(pair.x):
         r = charge(band_matvec(first.bands, u)) - band_matvec(second.bands, charge(u))
-        den = np.linalg.norm(band_matvec(H_minus.bands, u)[sl]) + np.linalg.norm(u[sl])
+        h_u = band_matvec(H_minus.bands, u) - pair.E_m * u
+        den = np.linalg.norm(h_u[sl]) + np.linalg.norm(u[sl])
         worst = max(worst, np.linalg.norm(r[sl]) / den)
     return float(worst)
 

@@ -307,7 +307,7 @@ def dense_intertwining_residual(pair, probes, conjugate=False):
 
     Q = +-d/dx + W and H_(-+) are formed as dense matrices and the defect
     matrix R is applied to each probe state u, normalized by
-    |H_- u| + |u| on the rows at least 12 from the edges.  Returns
+    |(H_- - E_m) u| + |u| on the rows at least 12 from the edges.  Returns
     (residual, scale): `scale` is the same quotient with |Q| |H| |u| in
     place of R u, the size of the products that cancel in R, so both
     evaluations round at about eps * scale.
@@ -323,7 +323,7 @@ def dense_intertwining_residual(pair, probes, conjugate=False):
     sl = slice(12, n - 12)
     resid = scale = 0.0
     for u in probes:
-        den = np.linalg.norm((hm @ u)[sl]) + np.linalg.norm(u[sl])
+        den = np.linalg.norm((hm @ u - pair.E_m * u)[sl]) + np.linalg.norm(u[sl])
         resid = max(resid, np.linalg.norm((R @ u)[sl]) / den)
         scale = max(scale, np.linalg.norm((bound @ np.abs(u))[sl]) / den)
     return resid, scale

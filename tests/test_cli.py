@@ -505,6 +505,40 @@ def test_exit_code_bad_level_count(tmp_path, capsys, argv):
     assert "config error" in capsys.readouterr().err
 
 
+# one line on stderr and the exit code, never a traceback: a singular
+# shift, ARPACK not converging, non-finite samples or period, and band
+# entries that overflow
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["spectra", "--model", "swanson", "--delta", "-0.5", "--g", "0", "--gtilde", "0"],
+     cli.EXIT_ENGINE, "EigensolverError: "),
+    (["susy", "--profile", "gaussian-complex", "--alpha", "1e200"],
+     cli.EXIT_ENGINE, "EigensolverError: "),
+    (["kdv", "--model", "fring", "--profile", "cosine", "--amplitude", "nan"],
+     cli.EXIT_CONFIG, "config error: "),
+    (["kdv", "--model", "fring", "--L-domain", "inf"], cli.EXIT_CONFIG, "config error: "),
+    (["spectra", "--model", "reggeon", "--g", "1e308"], cli.EXIT_CONFIG, "config error: "),
+    (["spectra", "--model", "monomial", "--N", "3", "--g", "1e308"],
+     cli.EXIT_CONFIG, "config error: "),
+], ids=["swanson-singular-shift", "susy-arpack-no-convergence", "kdv-nan-samples",
+        "kdv-infinite-period", "reggeon-overflow", "monomial-overflow"])
+def test_failure_mode_table(tmp_path, capsys, argv, code, prefix):
+    assert run_main(tmp_path, *argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_failure_mode_table_sweep_runs_the_other_cells(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.cfg",
+                "subcommand=spectra\nmodel=swanson\ng=0\ngtilde=0\ndelta=-0.5,1\n")
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", cfg, "--output-dir", str(out)]) == cli.EXIT_PARTIAL
+    assert capsys.readouterr().err == "sweep: 1 cell(s) failed\n"
+    cells = json.loads((out / "sweep_manifest.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["error", "ok"]
+    assert cells[0]["error"].startswith("EigensolverError: ")
+
+
 def test_determinism_byte_identical(tmp_path):
     # the grid runs go through ARPACK, whose start vector must be fixed
     runs = [["cms", "--family", "A", "--rank", "2", "--check", "mu-identity",

@@ -34,6 +34,13 @@ def test_field_validation():
         kdv.KdVField(L=-1.0, values=np.ones(32))
     with pytest.raises(ConfigurationError):
         kdv.KdVField(L=1.0, values=np.ones(8))
+    with pytest.raises(ConfigurationError, match="finite"):
+        kdv.KdVField(L=np.inf, values=np.ones(32))
+    with pytest.raises(ConfigurationError, match="finite"):
+        kdv.KdVField(L=1.0, values=np.full(32, np.nan))
+    # the period is refused before the callable sees its grid
+    with pytest.raises(ConfigurationError, match="finite"):
+        kdv.KdVField.from_callable(lambda x: pytest.fail("sampled"), np.inf, 32)
 
 
 def test_spectral_derivative_exact_on_modes():
@@ -296,12 +303,16 @@ def count_evaluations(monkeypatch, flow):
     return calls
 
 
-@pytest.mark.parametrize("eps", [1.0, 3.0], ids=["integrating-factor", "plain"])
-def test_transform_count_per_evaluation(monkeypatch, eps):
+@pytest.mark.parametrize("eps, phase", [(1.0, True), (3.0, False)],
+                         ids=["integrating-factor", "plain"])
+def test_transform_count_per_evaluation(monkeypatch, eps, phase):
     # every right-hand-side evaluation makes one batched inverse and one
     # forward transform; the start adds a forward transform, and each of
     # the two records (the start and the end) one inverse.  One transform
-    # pair per derivative took 4-5 pairs an evaluation.
+    # pair per derivative took 4-5 pairs an evaluation.  Beside the linear
+    # dispersion the factor exp(i k^3 t) is taken as often as the inverse
+    # transform; a flow without it has no phase and takes none.
+    field = offset_cosine_field()
     calls = []
 
     def counting(transform):
@@ -310,15 +321,16 @@ def test_transform_count_per_evaluation(monkeypatch, eps):
             return transform(*args, **kwargs)
         return wrapper
 
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np, "exp")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     evals = count_evaluations(monkeypatch, "fring")
     n_steps = 20
-    kdv.evolve(offset_cosine_field(), "fring", eps, n_steps * 1e-3, 1e-3,
+    kdv.evolve(field, "fring", eps, n_steps * 1e-3, 1e-3,
                n_snapshots=2, monitor_stride=10 * n_steps)
     assert len(evals) > 0
     assert calls.count("fft") == len(evals) + 1
     assert calls.count("ifft") == len(evals) + 2
+    assert calls.count("exp") == phase * (len(evals) + 2)
 
 
 @pytest.mark.parametrize("flow, eps, rows", [

@@ -113,6 +113,18 @@ def test_conjugate_intertwining():
     assert susy.verify_intertwining(pair, conjugate=True) < 1e-6
 
 
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_intertwining_residual_does_not_shrink_with_E_m(conjugate):
+    # E_m cancels from Q H_- - H_+ Q, so it must not scale the residual away
+    psi = susy.GridWavefunction.from_callable(
+        lambda x: np.exp(-x**2 / 2.0 + 0.5j * x), (-8.0, 8.0), 800)
+    resids = [susy.verify_intertwining(susy.superpotential_from_groundstate(psi, E_m=E_m),
+                                       conjugate=conjugate)
+              for E_m in (0.0, 1e2, 1e4, 1e6)]
+    assert resids[0] > 1e-6
+    assert np.allclose(resids, resids[0], rtol=1e-6, atol=0)
+
+
 PROFILES = {
     "gaussian": lambda x: np.exp(-x**2 / 2.0),
     "gaussian-complex": lambda x: np.exp(-x**2 / 2.0 + 0.5j * x),
